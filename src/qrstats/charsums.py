@@ -14,13 +14,10 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith import is_perfect_square, jacobi
-from .errors import (
-    InvalidModulusError,
-    ParameterError,
-    PerfectSquareModulusError,
-    ScanError,
-)
+import numpy as np
+
+from .arith import is_perfect_square, jacobi_many
+from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError
 from .rng import XorShift64Star
 from .sieve import RoughSet, mertens_product, rough_set
 
@@ -30,22 +27,33 @@ def _check_modulus(q: int) -> None:
         raise InvalidModulusError(f"modulus must be odd and >= 3, got {q}")
 
 
+_SUM_CHUNK = 1 << 16
+
+
+def _symbol_sum(lo: int, hi: int, q: int) -> int:
+    """sum_{lo <= m < hi} (m|q), in chunks so memory stays bounded."""
+    return sum(
+        int(jacobi_many(np.arange(start, min(start + _SUM_CHUNK, hi)), q).sum())
+        for start in range(lo, hi, _SUM_CHUNK)
+    )
+
+
 def incomplete_char_sum(M: int, q: int) -> int:
     """Exact value of sum_{m=1..M} (m|q).
 
-    The symbol has period q in m, so the sum over each full period is
-    computed once and reused; only the final partial period is summed
-    directly.  For M >= q this turns the cost from O(M) into O(q).
+    The symbol has period q in m, so only the final partial period is
+    summed term by term.  A full period sums to 0 unless q is a perfect
+    square, where the symbol is principal and the period sums to phi(q);
+    only then is the period evaluated, once, and reused.
     """
     _check_modulus(q)
     if M < 0:
         raise ParameterError(f"need M >= 0, got {M}")
     full, rem = divmod(M, q)
-    tail = sum(jacobi(m, q) for m in range(1, rem + 1))
-    if full == 0:
+    tail = _symbol_sum(1, rem + 1, q)
+    if full == 0 or not is_perfect_square(q):
         return tail
-    period = tail + sum(jacobi(m, q) for m in range(rem + 1, q + 1))
-    return full * period + tail
+    return full * _symbol_sum(1, q + 1, q) + tail
 
 
 def burgess_exponent(nu: int) -> float:
@@ -184,15 +192,10 @@ def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None
     rs = rough if rough is not None else rough_set(eta, M)
     if rs.eta != eta or rs.M != M:
         raise ParameterError("precomputed rough set does not match eta and M")
-    plus = minus = zero = 0
-    for m in rs.members.tolist():
-        s = jacobi(m % q, q)
-        if s == 1:
-            plus += 1
-        elif s == -1:
-            minus += 1
-        else:
-            zero += 1
+    symbols = jacobi_many(rs.members, q)
+    plus = int(np.count_nonzero(symbols == 1))
+    minus = int(np.count_nonzero(symbols == -1))
+    zero = symbols.size - plus - minus
     prod = mertens_product(rs.cutoff).product if rs.cutoff >= 2 else 1.0
     main = 0.5 * M * prod
     return RoughPartition(
@@ -211,15 +214,9 @@ def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None
 
 def rough_char_sum(eta: float, M: int, q: int, *, rough: RoughSet | None = None) -> int:
     """Sum of (m|q) over the rough set, via the partition identity
-    plus_count - minus_count; a direct second pass re-derives the value
-    and any mismatch is a scan error."""
+    plus_count - minus_count."""
     _check_modulus(q)
     if is_perfect_square(q):
         raise PerfectSquareModulusError(f"q={q} is a perfect square; the sum counts coprimality")
-    rs = rough if rough is not None else rough_set(eta, M)
-    part = rough_partition(eta, M, q, rough=rs)
-    value = part.count_plus - part.count_minus
-    direct = sum(jacobi(m % q, q) for m in rs.members.tolist())
-    if direct != value:
-        raise ScanError("partition bookkeeping disagrees with direct summation")
-    return value
+    part = rough_partition(eta, M, q, rough=rough)
+    return part.count_plus - part.count_minus

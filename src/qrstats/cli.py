@@ -41,7 +41,7 @@ from .residue_scan import (
     crt_adversarial_u,
     first_nonresidue_after,
     gap_stats,
-    least_nonresidue,
+    least_nonresidues,
     longest_qr_run,
 )
 from .rng import XorShift64Star
@@ -551,7 +551,7 @@ def _run_nres(config: RunConfig):
         primes = [p["p"]]
     else:
         primes = [q for q in primes_in(p["lo"], p["hi"]).tolist() if q != 2]
-    return ["p", "n_p"], [(q, least_nonresidue(q)) for q in primes], {}
+    return ["p", "n_p"], list(zip(primes, least_nonresidues(primes).tolist())), {}
 
 
 def _run_dp(config: RunConfig):
@@ -721,3 +721,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

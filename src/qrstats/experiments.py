@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import is_perfect_square, jacobi
+from .arith import is_perfect_square, jacobi_many
 from .errors import DegenerateSetError, ParameterError, ResourceError
-from .residue_scan import gap_stats, gap_tail, least_nonresidue
+from .residue_scan import first_nonresidues_after, gap_stats, gap_tail, least_nonresidues
 from .sieve import (
     feller_tornier_A,
     primes_in,
@@ -133,14 +133,9 @@ def _prime_list(limit: int) -> tuple[int, ...]:
 
 def _scan_erdos_block(args: tuple[int, int]) -> tuple[int, int]:
     lo, hi = args
-    count = 0
-    total = 0
-    for p in primes_in(lo, hi).tolist():
-        if p == 2:
-            continue
-        count += 1
-        total += least_nonresidue(p)
-    return count, total
+    primes = primes_in(lo, hi)
+    primes = primes[primes != 2]
+    return primes.size, int(least_nonresidues(primes).sum())
 
 
 def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
@@ -226,19 +221,10 @@ def exceptional_blocks(Q: int) -> list[tuple[int, int]]:
 
 def _scan_exceptional_block(args: tuple[int, int, int, int, int]) -> tuple[int, list]:
     lo, hi, u, h_min, h_cap = args
-    total = 0
-    hits = []
-    for p in primes_in(lo, hi).tolist():
-        total += 1
-        base = u % p
-        d = h_cap + 1
-        for step in range(1, h_cap + 1):
-            if jacobi((base + step) % p, p) == -1:
-                d = step
-                break
-        if d > h_min:
-            hits.append((p, d))
-    return total, hits
+    primes = primes_in(lo, hi)
+    d = first_nonresidues_after(primes, u, h_cap)
+    sel = d > h_min
+    return primes.size, list(zip(primes[sel].tolist(), d[sel].tolist()))
 
 
 def exceptional_density_sweep(
@@ -445,6 +431,15 @@ def _square_product_pairs(ns: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> int:
+    """sum over m in moduli of (sum over n in ns of (n|m))**2, one
+    jacobi_many call per member of ns."""
+    acc = np.zeros(moduli.shape, dtype=np.int64)
+    for n in ns:
+        acc += jacobi_many(n, moduli)
+    return int((acc * acc).sum())
+
+
 def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     """Evaluate the whole bound chain at desk scale.
 
@@ -501,29 +496,12 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     if len(ns) < 2:
         raise DegenerateSetError(f"chosen set has {len(ns)} members; need at least 2")
 
-    primes = primes_in(Q, 2 * Q).tolist()
-    s_direct = 0
-    exceptional = 0
-    for p in primes:
-        acc = 0
-        for n in ns:
-            acc += jacobi(n % p, p)
-        s_direct += acc * acc
-        base = u % p
-        for step in range(1, h + 1):
-            if jacobi((base + step) % p, p) == -1:
-                break
-        else:
-            exceptional += 1
+    primes = primes_in(Q, 2 * Q)
+    s_direct = _squared_symbol_sums(ns, primes)
+    exceptional = int(np.count_nonzero(first_nonresidues_after(primes, u, h) > h))
 
     rough = rough_set(eta, M)
-    members_list = rough.members.tolist()
-    s_rough = 0
-    for m in members_list:
-        acc = 0
-        for n in ns:
-            acc += jacobi(n % m, m)
-        s_rough += acc * acc
+    s_rough = _squared_symbol_sums(ns, rough.members)
 
     pairs = _square_product_pairs(ns)
     coprime_cache: dict[int, int] = {}
@@ -534,7 +512,7 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
             if q_pair < 2**63:
                 hit = int(np.count_nonzero(np.gcd(rough.members, np.int64(q_pair)) == 1))
             else:
-                hit = sum(1 for m in members_list if math.gcd(m, q_pair) == 1)
+                hit = sum(1 for m in rough.members.tolist() if math.gcd(m, q_pair) == 1)
             coprime_cache[q_pair] = hit
         square_pair_sum += coprime_cache[q_pair]
 

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qrstats.arith import is_perfect_square, jacobi, legendre_euler, powmod
+from qrstats.arith import is_perfect_square, jacobi, jacobi_many, legendre_euler, powmod
 from qrstats.errors import InvalidModulusError
 
 from oracles import jacobi_by_factorization, legendre_by_squares
@@ -52,6 +53,86 @@ def test_jacobi_zero_iff_common_factor(m, q):
     import math
 
     assert (jacobi(m, q) == 0) == (math.gcd(m, q) > 1)
+
+
+# --- jacobi_many against the scalar reference -----------------------------
+
+kernel_lanes = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.integers(min_value=0, max_value=2**61 - 1).map(lambda k: 2 * k + 1),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+@given(kernel_lanes)
+def test_jacobi_many_matches_jacobi(lanes):
+    m, q = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+    got = jacobi_many(m, q)
+    assert got.dtype == np.int8
+    assert got.tolist() == [jacobi(a, b) for a, b in lanes]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10**6), odd_moduli), min_size=1, max_size=30))
+def test_jacobi_many_matches_factored_oracle(lanes):
+    m, q = zip(*lanes)
+    assert jacobi_many(np.array(m), np.array(q)).tolist() == [jacobi_by_factorization(a, b) for a, b in lanes]
+
+
+def test_jacobi_many_edge_lanes():
+    top = 2**62 - 1
+    lanes = [
+        (0, 1), (12345, 1), (2**63 - 1, 1),  # q = 1: the empty product
+        (0, 3), (0, 15), (0, top),  # m = 0
+        (7, 7), (45, 15), (2 * top, top),  # m a multiple of q
+        (10, 7), (2**63 - 1, 9907), (2**63 - 1, top), (top + 2, top),  # m >= q
+        (2, top), (3, top), (top - 1, top), (2, top - 2), (2**61 + 1, top - 2),  # q near 2**62 - 1
+    ]
+    m, q = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+    assert jacobi_many(m, q).tolist() == [jacobi(a, b) for a, b in lanes]
+
+
+def test_jacobi_many_broadcasts_both_ways():
+    qs = np.arange(1, 400, 2)
+    ms = np.arange(0, 400)
+    assert jacobi_many(1001, qs).tolist() == [jacobi(1001, int(q)) for q in qs]
+    assert jacobi_many(ms, 9907).tolist() == [jacobi(int(m), 9907) for m in ms]
+    grid = jacobi_many(ms[:, None], qs[None, :])
+    assert grid.shape == (ms.size, qs.size)
+    assert all(grid[i, j] == jacobi(int(ms[i]), int(qs[j])) for i in range(0, 400, 37) for j in range(qs.size))
+    assert jacobi_many(2, 7).shape == ()
+
+
+def test_jacobi_many_falls_back_to_scalar_past_its_domain():
+    qs = [2**62 + 1, 2**62 + 3, 2**63 - 1, 2**64 + 1, 3**60]
+    assert jacobi_many(1001, qs).tolist() == [jacobi(1001, q) for q in qs]
+    assert jacobi_many(1001, np.array(qs[:3], dtype=np.int64)).tolist() == [jacobi(1001, q) for q in qs[:3]]
+    big_m = 2**80 + 3
+    small = np.array([1, 3, 7, 9907, 2**61 - 1])
+    assert jacobi_many(big_m, small).tolist() == [jacobi(big_m, int(q)) for q in small]
+    mixed = np.array([9907, 2**62 + 1, 15], dtype=np.int64)
+    assert jacobi_many(2**40 + 1, mixed).tolist() == [jacobi(2**40 + 1, int(q)) for q in mixed]
+
+
+def test_jacobi_many_covers_many_chunks():
+    qs = np.arange(1, 2**18, 2)
+    m = 2**40 + 12345
+    assert np.array_equal(jacobi_many(m, qs), [jacobi(m, int(q)) for q in qs])
+
+
+def test_jacobi_many_rejects_like_jacobi():
+    with pytest.raises(InvalidModulusError):
+        jacobi_many(3, np.array([7, 10]))
+    with pytest.raises(InvalidModulusError):
+        jacobi_many(3, 0)
+    with pytest.raises(InvalidModulusError):
+        jacobi_many(np.array([3]), -7)
+    with pytest.raises(ValueError):
+        jacobi_many(np.array([1, -1]), 7)
+    with pytest.raises(TypeError):
+        jacobi_many(np.array([1.0]), 7)
 
 
 def test_legendre_euler_known_values():

@@ -49,6 +49,13 @@ def test_period_reuse_consistent(q, rem, full):
     assert incomplete_char_sum(M, q) == direct
 
 
+def test_incomplete_sum_spans_chunks():
+    q = 200003  # prime, so the 150000-term tail crosses several 2**16 chunks
+    assert incomplete_char_sum(150000, q) == sum(jacobi(m, q) for m in range(1, 150001))
+    q = 509 * 509  # square: the period is evaluated, and sums to phi(q)
+    assert incomplete_char_sum(2 * q + 5, q) == 2 * 509 * 508 + 5
+
+
 def test_incomplete_sum_validates():
     with pytest.raises(InvalidModulusError):
         incomplete_char_sum(10, 8)
@@ -148,6 +155,17 @@ def test_rough_partition_identity(eta, M, q):
     part = rough_partition(eta, M, q, rough=rs)
     assert part.total == rs.count
     assert part.count_plus - part.count_minus == rough_char_sum(eta, M, q, rough=rs)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.integers(min_value=10, max_value=5000),
+    st.sampled_from([7, 11, 15, 21, 33, 9907, 1000003]),
+)
+def test_rough_char_sum_matches_direct_sum(eta, M, q):
+    rs = rough_set(eta, M)
+    assert rough_char_sum(eta, M, q, rough=rs) == sum(jacobi(m % q, q) for m in rs.members.tolist())
 
 
 def test_rough_char_sum_rejects_square_modulus():

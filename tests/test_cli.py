@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qrstats
 
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
@@ -104,6 +109,16 @@ def test_version(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert out.startswith("qrstats ")
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(qrstats.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrstats.cli", "--version"], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("qrstats ")
 
 
 # --- CSV output ----------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qrstats.arith import is_perfect_square
+from qrstats.arith import is_perfect_square, jacobi
 from qrstats.errors import DegenerateSetError, ParameterError, ResourceError
 from qrstats.experiments import (
     ERDOS_X_BUDGET,
@@ -257,6 +257,20 @@ def test_trace_large_h_pinned():
     assert t.h_exceeds_log_q
     assert not t.u_exceeds_2q
     _assert_chain(t)
+
+
+@pytest.mark.parametrize("u", [10**4, 2**70 + 3])
+@pytest.mark.parametrize("h", [8, 9, 10])
+def test_trace_small_h_matches_scalar_sums(u, h):
+    Q, eta = 10**4, 0.15
+    t = proof_trace(Q, u, h, eta)
+    assert t.regime == "small-h"
+    ns = [n for n in range(u + 1, u + h + 1) if n % 4 == 1]
+    primes = primes_in(Q, 2 * Q).tolist()
+    assert t.exceptional == sum(1 for p in primes if first_nonresidue_after(p, u) > h)
+    assert t.S_direct == sum(sum(jacobi(n % p, p) for n in ns) ** 2 for p in primes)
+    members = rough_set(eta, 2 * Q).members.tolist()
+    assert t.S_rough == sum(sum(jacobi(n % m, m) for n in ns) ** 2 for m in members)
 
 
 def test_trace_small_h_pinned():

@@ -6,9 +6,11 @@ from qrstats.errors import ParameterError, ResourceError, ScanError
 from qrstats.residue_scan import (
     crt_adversarial_u,
     first_nonresidue_after,
+    first_nonresidues_after,
     gap_stats,
     gap_tail,
     least_nonresidue,
+    least_nonresidues,
     longest_qr_run,
     residue_map,
 )
@@ -118,6 +120,38 @@ def test_first_nonresidue_at_zero_is_least_nonresidue(p):
     assert first_nonresidue_after(p, 0) == least_nonresidue(p)
 
 
+def test_least_nonresidues_matches_scalar_below_1e5():
+    P = primes_in(3, 10**5)
+    assert least_nonresidues(P).tolist() == [least_nonresidue(p) for p in P.tolist()]
+
+
+def test_least_nonresidues_past_int64():
+    p = 2**64 - 59  # the largest prime below 2**64
+    assert least_nonresidues([p]).tolist() == [least_nonresidue(p)]
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=2**80), st.integers(min_value=1, max_value=40))
+def test_first_nonresidues_after_matches_scalar(u, cap):
+    P = primes_in(3, 3000)
+    want = [min(first_nonresidue_after(p, u), cap + 1) for p in P.tolist()]
+    assert first_nonresidues_after(P, u, cap).tolist() == want
+
+
+def test_batched_scans_validate_like_scalar():
+    with pytest.raises(ParameterError):
+        least_nonresidues(np.array([7, 4]))
+    with pytest.raises(ParameterError):
+        least_nonresidues(np.array([1]))
+    with pytest.raises(ParameterError):
+        first_nonresidues_after(np.array([7]), -1)
+    with pytest.raises(ScanError):
+        least_nonresidues(np.array([7, 9]))
+    with pytest.raises(ScanError):
+        first_nonresidues_after(np.array([25]), 3)
+    assert least_nonresidues(np.array([], dtype=np.int64)).size == 0
+
+
 def test_longest_qr_run_small_values():
     assert longest_qr_run(7, True) == 3
     assert longest_qr_run(7, False) == 2
@@ -163,6 +197,18 @@ def test_crt_postcondition_randomized(pairs_data):
     assert 0 <= u < product
     for l, r in pairs:
         assert u % l == r
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from([int(p) for p in primes_in(3, 200).tolist()]), st.integers(0, 10**6)),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda pair: pair[0],
+))
+def test_crt_windows_transfer_randomized(pairs):
+    u = crt_adversarial_u(pairs)
+    for l, r in pairs:
+        assert first_nonresidue_after(l, u) == first_nonresidue_after(l, r % l)
 
 
 def test_crt_validates():
