@@ -19,12 +19,21 @@ import numpy as np
 from .arith import is_perfect_square, jacobi_many
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError
 from .rng import XorShift64Star
-from .sieve import RoughSet, mertens_product, rough_set
+from .sieve import RoughSet, check_rough, mertens_product, rough_set
 
 
-def _check_modulus(q: int) -> None:
+def check_modulus(q: int) -> None:
+    """A symbol modulus must be odd and >= 3."""
     if q < 3 or q % 2 == 0:
         raise InvalidModulusError(f"modulus must be odd and >= 3, got {q}")
+
+
+def check_nonprincipal(q: int) -> None:
+    """check_modulus, and q must not be a perfect square: for a square the
+    symbol is the principal character and the sums only count coprimality."""
+    check_modulus(q)
+    if is_perfect_square(q):
+        raise PerfectSquareModulusError(f"q={q} is a perfect square; the symbol is principal")
 
 
 _SUM_CHUNK = 1 << 16
@@ -46,7 +55,7 @@ def incomplete_char_sum(M: int, q: int) -> int:
     square, where the symbol is principal and the period sums to phi(q);
     only then is the period evaluated, once, and reused.
     """
-    _check_modulus(q)
+    check_modulus(q)
     if M < 0:
         raise ParameterError(f"need M >= 0, got {M}")
     full, rem = divmod(M, q)
@@ -56,10 +65,14 @@ def incomplete_char_sum(M: int, q: int) -> int:
     return full * _symbol_sum(1, q + 1, q) + tail
 
 
-def burgess_exponent(nu: int) -> float:
-    """(nu + 1) / (4 nu**2): one half, 3/16, 1/9 for nu = 1, 2, 3."""
+def _check_nu(nu: int) -> None:
     if nu < 1:
         raise ParameterError(f"need nu >= 1, got {nu}")
+
+
+def burgess_exponent(nu: int) -> float:
+    """(nu + 1) / (4 nu**2): one half, 3/16, 1/9 for nu = 1, 2, 3."""
+    _check_nu(nu)
     return (nu + 1) / (4 * nu * nu)
 
 
@@ -81,14 +94,21 @@ class CharSumReport:
     nu_beyond_classical: bool
 
 
+def check_burgess(M: int | None, q: int | None, nu: int) -> None:
+    """Preconditions of burgess_report: check_nonprincipal(q), M >= 1 and
+    nu >= 1.  None skips q or M, for a sweep that draws its own moduli or
+    uses the default length."""
+    if q is not None:
+        check_nonprincipal(q)
+    if M is not None and M < 1:
+        raise ParameterError(f"need M >= 1, got {M}")
+    _check_nu(nu)
+
+
 def burgess_report(M: int, q: int, nu: int = 2) -> CharSumReport:
     """Evaluate the sum to M and compare against
     M**(1 - 1/nu) * q**((nu+1)/(4 nu**2))."""
-    _check_modulus(q)
-    if is_perfect_square(q):
-        raise PerfectSquareModulusError(f"q={q} is a perfect square; the symbol is principal")
-    if M < 1:
-        raise ParameterError(f"need M >= 1, got {M}")
+    check_burgess(M, q, nu)
     s = incomplete_char_sum(M, q)
     benchmark = M ** (1.0 - 1.0 / nu) * q ** burgess_exponent(nu)
     return CharSumReport(M, q, nu, s, benchmark, abs(s) / benchmark, nu > 3)
@@ -107,6 +127,18 @@ def default_sweep_length(q: int) -> int:
     return math.ceil(q ** (2.0 / 3.0))
 
 
+def check_sweep(count: int, q_lo: int, q_hi: int, nu: int = 2, M: int | None = None) -> None:
+    """Preconditions of burgess_sweep: count >= 1, q_lo >= 3, q_hi >= q_lo + 3
+    so the range holds an odd non-square, and check_burgess on M and nu."""
+    if count < 1:
+        raise ParameterError(f"need count >= 1, got {count}")
+    if q_lo < 3:
+        raise ParameterError(f"need q_lo >= 3, got {q_lo}")
+    if q_hi - q_lo < 3:
+        raise ParameterError(f"range [{q_lo}, {q_hi}] too narrow to sample")
+    check_burgess(M, None, nu)
+
+
 def burgess_sweep(
     count: int,
     q_lo: int,
@@ -122,12 +154,7 @@ def burgess_sweep(
     by one (down by two on overflow), perfect squares redrawn.  With M
     omitted each modulus uses default_sweep_length(q).
     """
-    if count < 1:
-        raise ParameterError(f"need count >= 1, got {count}")
-    if q_lo < 3:
-        raise ParameterError(f"need q_lo >= 3, got {q_lo}")
-    if q_hi - q_lo < 3:
-        raise ParameterError(f"range [{q_lo}, {q_hi}] too narrow to sample")
+    check_sweep(count, q_lo, q_hi, nu, M)
     rng = XorShift64Star(seed)
     reports = []
     for _ in range(count):
@@ -175,10 +202,7 @@ class RoughPartition:
 
 def rough_error_scale(eta: float, M: int) -> float:
     """eta**(eta**(-1/2)/4 - 1) * M / log M."""
-    if not 0.0 < eta < 1.0:
-        raise ParameterError(f"need 0 < eta < 1, got {eta}")
-    if M < 2:
-        raise ParameterError(f"need M >= 2, got {M}")
+    check_rough(eta, M)
     return eta ** (eta**-0.5 / 4.0 - 1.0) * M / math.log(M)
 
 
@@ -188,7 +212,7 @@ def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None
     Pass a precomputed rough_set(eta, M) to share the sieve across many
     moduli; it must match eta and M exactly.
     """
-    _check_modulus(q)
+    check_modulus(q)
     rs = rough if rough is not None else rough_set(eta, M)
     if rs.eta != eta or rs.M != M:
         raise ParameterError("precomputed rough set does not match eta and M")
@@ -215,8 +239,6 @@ def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None
 def rough_char_sum(eta: float, M: int, q: int, *, rough: RoughSet | None = None) -> int:
     """Sum of (m|q) over the rough set, via the partition identity
     plus_count - minus_count."""
-    _check_modulus(q)
-    if is_perfect_square(q):
-        raise PerfectSquareModulusError(f"q={q} is a perfect square; the sum counts coprimality")
+    check_nonprincipal(q)
     part = rough_partition(eta, M, q, rough=rough)
     return part.count_plus - part.count_minus

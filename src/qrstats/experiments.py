@@ -31,6 +31,8 @@ from .arith import is_perfect_square, jacobi_many
 from .errors import DegenerateSetError, ParameterError, ResourceError
 from .residue_scan import first_nonresidues_after, gap_stats, gap_tail, least_nonresidues
 from .sieve import (
+    check_eta,
+    check_window,
     feller_tornier_A,
     primes_in,
     rough_set,
@@ -138,6 +140,14 @@ def _scan_erdos_block(args: tuple[int, int]) -> tuple[int, int]:
     return primes.size, int(least_nonresidues(primes).sum())
 
 
+def check_erdos(xs: Sequence[int]) -> None:
+    """Preconditions of erdos_mean_curve: at least one x, every x >= 3."""
+    if not xs:
+        raise ParameterError("need at least one x")
+    if min(xs) < 3:
+        raise ParameterError(f"need x >= 3, got {min(xs)}")
+
+
 def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
     """Means of least_nonresidue over odd primes p <= x, for every x in
     xs, from a single scan up to max(xs).
@@ -147,10 +157,7 @@ def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
     back sorted by x with duplicates collapsed.
     """
     points = sorted({int(x) for x in xs})
-    if not points:
-        raise ParameterError("need at least one x")
-    if points[0] < 3:
-        raise ParameterError(f"need x >= 3, got {points[0]}")
+    check_erdos(points)
     if points[-1] > ERDOS_X_BUDGET:
         raise ResourceError(f"x = {points[-1]} exceeds the budget of {ERDOS_X_BUDGET}")
     blocks = _blocks(3, points[-1], edges=points)
@@ -212,6 +219,24 @@ def _check_q_range(Q: int) -> None:
         raise ParameterError(f"need Q >= 10, got {Q}")
 
 
+def check_exceptional(Q: int, u: int, h_list: Sequence[int]) -> None:
+    """Preconditions of exceptional_density_sweep: Q >= 10, and the
+    window [u+1, u+h] of check_window for every h of a non-empty list."""
+    _check_q_range(Q)
+    if not h_list:
+        raise ParameterError("need at least one h")
+    check_window(u, min(h_list))
+
+
+def h_multiples(Q: int, k: int) -> list[int]:
+    """The h grid ceil(log Q) * (1, 2, ..., k), for Q >= 10 and k >= 1."""
+    _check_q_range(Q)
+    if k < 1:
+        raise ParameterError(f"need k >= 1, got {k}")
+    unit = math.ceil(math.log(Q))
+    return [unit * i for i in range(1, k + 1)]
+
+
 def exceptional_blocks(Q: int) -> list[tuple[int, int]]:
     """The fixed block partition of [Q, 2Q]; identical for every worker
     count, and the unit of checkpoint granularity."""
@@ -245,14 +270,8 @@ def exceptional_density_sweep(
     caller can persist and restart long runs; both speak ExceptionalState
     and neither changes the result.
     """
-    _check_q_range(Q)
-    if u < 0:
-        raise ParameterError(f"need u >= 0, got {u}")
+    check_exceptional(Q, u, h_list)
     hs = sorted({int(h) for h in h_list})
-    if not hs:
-        raise ParameterError("need at least one h")
-    if hs[0] < 1:
-        raise ParameterError(f"need h >= 1, got {hs[0]}")
     blocks = exceptional_blocks(Q)
     state = resume if resume is not None else ExceptionalState(0, 0, ())
     if not 0 <= state.next_block <= len(blocks):
@@ -416,19 +435,9 @@ class TraceReport:
 
 
 def _square_product_pairs(ns: Sequence[int]) -> list[tuple[int, int]]:
-    """Ordered index pairs (i, j) with ns[i] * ns[j] a perfect square.
-
-    Write n1 = k1 d and n2 = k2 d with d = gcd(n1, n2); k1 and k2 are
-    coprime, so the product k1 k2 d**2 is a square exactly when k1 and
-    k2 both are.  Everything is integer-exact.
-    """
-    pairs = []
-    for i, a in enumerate(ns):
-        for j, b in enumerate(ns):
-            d = math.gcd(a, b)
-            if is_perfect_square(a // d) and is_perfect_square(b // d):
-                pairs.append((i, j))
-    return pairs
+    """Ordered index pairs (i, j) with ns[i] * ns[j] a perfect square,
+    decided exactly by the integer square root."""
+    return [(i, j) for i, a in enumerate(ns) for j, b in enumerate(ns) if is_perfect_square(a * b)]
 
 
 def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> int:
@@ -438,6 +447,16 @@ def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> int:
     for n in ns:
         acc += jacobi_many(n, moduli)
     return int((acc * acc).sum())
+
+
+def check_trace(Q: int, u: int, h: int, eta: float) -> None:
+    """Preconditions of proof_trace that need no sieve: check_exceptional
+    for the one h, h < Q and 0 < eta < 1.  proof_trace itself checks the
+    bounds on (2Q)**eta, which take rough_threshold to evaluate."""
+    check_exceptional(Q, u, [h])
+    if h >= Q:
+        raise ParameterError(f"need h < Q for the one-multiple-per-window bound, got h={h}, Q={Q}")
+    check_eta(eta)
 
 
 def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
@@ -454,13 +473,7 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     once.  All sums are exact integers; only the rhs_terms are floating
     point.
     """
-    _check_q_range(Q)
-    if u < 0:
-        raise ParameterError(f"need u >= 0, got {u}")
-    if h < 1:
-        raise ParameterError(f"need h >= 1, got {h}")
-    if h >= Q:
-        raise ParameterError(f"need h < Q for the one-multiple-per-window bound, got h={h}, Q={Q}")
+    check_trace(Q, u, h, eta)
     M = 2 * Q
     cutoff = rough_threshold(eta, M)
     if cutoff >= Q:

@@ -22,10 +22,16 @@ import numpy as np
 
 from .arith import jacobi, jacobi_many
 from .errors import ParameterError, ResourceError, ScanError
+from .sieve import check_window
 
 RESIDUE_TABLE_BUDGET = 2**31
 
 _SQUARE_CHUNK = 1 << 22
+
+
+def _check_p(p: int) -> None:
+    if p < 3 or p % 2 == 0:
+        raise ParameterError(f"need an odd p >= 3, got {p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +68,7 @@ def residue_map(p: int, zero_as_residue: bool = True) -> ResidueMap:
     oddness is checked).  Squares are generated in chunks so the peak
     intermediate allocation stays bounded for p near the table budget.
     """
-    if p < 3 or p % 2 == 0:
-        raise ParameterError(f"need an odd p >= 3, got {p}")
+    _check_p(p)
     if p > RESIDUE_TABLE_BUDGET:
         raise ResourceError(f"residue table for p={p} exceeds the budget of {RESIDUE_TABLE_BUDGET}")
     bits = np.zeros(p, dtype=bool)
@@ -82,8 +87,7 @@ def least_nonresidue(p: int) -> int:
     No residue table is built; the scan is a handful of Jacobi symbols
     for almost every prime.
     """
-    if p < 3 or p % 2 == 0:
-        raise ParameterError(f"need an odd p >= 3, got {p}")
+    _check_p(p)
     for n in range(2, p + 1):
         if jacobi(n, p) == -1:
             return n
@@ -115,11 +119,16 @@ def gap_stats(p: int) -> GapStats:
     return GapStats(p, n_seq, np.diff(n_seq))
 
 
+def check_tail(h: int) -> None:
+    """The gap-tail threshold must satisfy h >= 1."""
+    if h < 1:
+        raise ParameterError(f"need h >= 1, got {h}")
+
+
 def gap_tail(stats: GapStats, h: int) -> tuple[int, int]:
     """(N, S) for the gap sequence: N counts the gaps >= h and S sums
     them.  Both are exact integers."""
-    if h < 1:
-        raise ParameterError(f"need h >= 1, got {h}")
+    check_tail(h)
     sel = stats.deltas >= h
     return int(np.count_nonzero(sel)), int(stats.deltas[sel].sum())
 
@@ -131,10 +140,8 @@ def first_nonresidue_after(p: int, u: int) -> int:
     odd prime the scan is bounded by p; running past that bound means the
     modulus was not prime and is reported as a scan error.
     """
-    if p < 3 or p % 2 == 0:
-        raise ParameterError(f"need an odd p >= 3, got {p}")
-    if u < 0:
-        raise ParameterError(f"need u >= 0, got {u}")
+    _check_p(p)
+    check_window(u)
     base = u % p
     for h in range(1, p + 1):
         if jacobi((base + h) % p, p) == -1:
@@ -154,8 +161,7 @@ def first_nonresidues_after(P, u: int, cap: int | None = None) -> np.ndarray:
     P = np.asarray(P).reshape(-1)
     if P.size and (P.min() < 3 or (P % 2 == 0).any()):
         raise ParameterError(f"need odd p >= 3, got {P[(P < 3) | (P % 2 == 0)][0]}")
-    if u < 0:
-        raise ParameterError(f"need u >= 0, got {u}")
+    check_window(u)
     steps = itertools.count(1) if cap is None else range(1, cap + 1)
     out = np.full(P.size, -1 if cap is None else cap + 1, dtype=np.int64)
     active = np.arange(P.size)
@@ -197,14 +203,10 @@ def longest_qr_run(p: int, zero_as_residue: bool = True) -> int:
     return _longest_true_run(np.roll(bits, -first_false))
 
 
-def crt_adversarial_u(pairs: Sequence[tuple[int, int]]) -> int:
-    """The least u >= 0 with u = u_i mod l_i for each (l_i, u_i).
-
-    The moduli must be pairwise distinct odd primes and their product
-    must stay below 2**127.  Because u matches u_i mod l_i, the first
-    non-residue past u agrees with the first non-residue past u_i for
-    every modulus.
-    """
+def check_crt(pairs: Sequence[tuple[int, int]]) -> None:
+    """Preconditions of crt_adversarial_u: at least one pair, pairwise
+    distinct odd moduli >= 3 (primality is the caller's responsibility),
+    and a modulus product below 2**127."""
     if not pairs:
         raise ParameterError("at least one congruence is required")
     moduli = [l for l, _ in pairs]
@@ -217,6 +219,15 @@ def crt_adversarial_u(pairs: Sequence[tuple[int, int]]) -> int:
         product *= l
         if product >= 1 << 127:
             raise ResourceError("modulus product exceeds the 128-bit budget")
+
+
+def crt_adversarial_u(pairs: Sequence[tuple[int, int]]) -> int:
+    """The least u >= 0 with u = u_i mod l_i for each (l_i, u_i), for
+    pairwise distinct odd prime moduli (see check_crt).  Because u matches
+    u_i mod l_i, the first non-residue past u agrees with the first
+    non-residue past u_i for every modulus."""
+    check_crt(pairs)
+    product = math.prod(l for l, _ in pairs)
     u = 0
     for l, r in pairs:
         rest = product // l

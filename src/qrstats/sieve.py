@@ -50,6 +50,12 @@ def primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def check_range(lo: int, hi: int) -> None:
+    """Precondition of primes_in: 2 <= lo <= hi."""
+    if lo < 2 or hi < lo:
+        raise ParameterError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
+
+
 def primes_in(lo: int, hi: int) -> np.ndarray:
     """Primes p with lo <= p <= hi, ascending, via a segmented sieve.
 
@@ -58,8 +64,7 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
     """
     if hi > MAX_ENDPOINT:
         raise RangeError(f"endpoint {hi} exceeds the supported range")
-    if lo < 2 or hi < lo:
-        raise ParameterError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
+    check_range(lo, hi)
     if hi - lo > SPAN_BUDGET:
         raise ResourceError(f"span {hi - lo} exceeds the budget of {SPAN_BUDGET}")
     base = primes_upto(math.isqrt(hi))
@@ -125,9 +130,7 @@ def is_prime_u64(n: int) -> bool:
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """Largest integer r with r**n <= x, by Newton iteration on ints."""
-    if x < 0 or n < 1:
-        raise ParameterError("nth root needs x >= 0 and n >= 1")
+    """Largest integer r with r**n <= x, for x >= 0 and n >= 1, by Newton iteration."""
     if x == 0 or n == 1:
         return x
     r = 1 << -(-x.bit_length() // n)
@@ -146,6 +149,12 @@ def _int_nth_root(x: int, n: int) -> int:
 _EXACT_DENOM_LIMIT = 1 << 12
 
 
+def check_eta(eta: float) -> None:
+    """The rough-set exponent must satisfy 0 < eta < 1."""
+    if not 0.0 < eta < 1.0:
+        raise ParameterError(f"need 0 < eta < 1, got {eta}")
+
+
 def rough_threshold(eta: float, M: int) -> int:
     """Largest integer t with t <= M**eta, where eta is taken at its exact
     binary64 value.
@@ -157,8 +166,7 @@ def rough_threshold(eta: float, M: int) -> int:
     force M to be a perfect 2**s-th power with s > 12, which no M below
     2**64 can be, so the escalation always terminates.
     """
-    if not 0.0 < eta < 1.0:
-        raise ParameterError(f"need 0 < eta < 1, got {eta}")
+    check_eta(eta)
     if M < 1:
         raise ParameterError(f"need M >= 1, got {M}")
     num, den = float(eta).as_integer_ratio()
@@ -200,10 +208,16 @@ class RoughSet:
         return int(self.members.size)
 
 
-def rough_set(eta: float, M: int) -> RoughSet:
-    """Sieve [1, M] down to the integers free of primes <= M**eta."""
+def check_rough(eta: float, M: int) -> None:
+    """Preconditions of rough_set: 0 < eta < 1 and M >= 2."""
+    check_eta(eta)
     if M < 2:
         raise ParameterError(f"need M >= 2, got {M}")
+
+
+def rough_set(eta: float, M: int) -> RoughSet:
+    """Sieve [1, M] down to the integers free of primes <= M**eta."""
+    check_rough(eta, M)
     cutoff = rough_threshold(eta, M)
     mask = np.ones(M + 1, dtype=bool)
     mask[0] = False
@@ -264,13 +278,19 @@ class SquarefreeWindow:
         return self.members[self.members % 4 == r % 4]
 
 
-def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:
-    """Sieve the window [u+1, u+h] by squares of primes up to
-    sqrt(u+h+1); one extra flag past the window settles the pair count."""
+def check_window(u: int, h: int = 1) -> None:
+    """A window [u+1, u+h], square-free or residue scanned, needs u >= 0
+    and h >= 1."""
     if u < 0:
         raise ParameterError(f"need u >= 0, got {u}")
     if h < 1:
         raise ParameterError(f"need h >= 1, got {h}")
+
+
+def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:
+    """Sieve the window [u+1, u+h] by squares of primes up to
+    sqrt(u+h+1); one extra flag past the window settles the pair count."""
+    check_window(u, h)
     top = u + h + 1
     if top > MAX_ENDPOINT:
         raise RangeError(f"window endpoint {top} exceeds the supported range")

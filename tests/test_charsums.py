@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 from qrstats.arith import jacobi
 from qrstats.charsums import (
     burgess_exponent,
+    check_burgess,
+    check_modulus,
+    check_nonprincipal,
+    check_sweep,
     burgess_report,
     burgess_sweep,
     default_sweep_length,
@@ -180,3 +184,49 @@ def test_rough_error_scale():
         rough_error_scale(1.5, 100)
     with pytest.raises(ParameterError):
         rough_error_scale(0.5, 1)
+
+
+def test_check_modulus_raises_like_incomplete_char_sum():
+    for q in [8, 1, 0, -7]:
+        with pytest.raises(InvalidModulusError):
+            check_modulus(q)
+        with pytest.raises(InvalidModulusError):
+            incomplete_char_sum(10, q)
+    check_modulus(9)
+
+
+def test_check_nonprincipal_raises_like_rough_char_sum():
+    for q, error in [(9, PerfectSquareModulusError), (225, PerfectSquareModulusError), (8, InvalidModulusError)]:
+        with pytest.raises(error):
+            check_nonprincipal(q)
+        with pytest.raises(error):
+            rough_char_sum(0.5, 30, q)
+    check_nonprincipal(7)
+
+
+def test_check_burgess_raises_like_burgess_report():
+    cases = [((100, 8, 2), InvalidModulusError), ((100, 225, 2), PerfectSquareModulusError),
+             ((0, 7, 2), ParameterError), ((100, 7, 0), ParameterError)]
+    for args, error in cases:
+        with pytest.raises(error):
+            check_burgess(*args)
+        with pytest.raises(error):
+            burgess_report(*args)
+    check_burgess(1, 7, 1)
+    check_burgess(None, None, 2)
+
+
+def test_check_sweep_raises_like_burgess_sweep():
+    cases = [
+        dict(count=0, q_lo=10, q_hi=100),
+        dict(count=5, q_lo=2, q_hi=100),
+        dict(count=5, q_lo=100, q_hi=102),
+        dict(count=5, q_lo=100, q_hi=1000, nu=0),
+        dict(count=5, q_lo=100, q_hi=1000, M=0),
+    ]
+    for kwargs in cases:
+        with pytest.raises(ParameterError):
+            check_sweep(**kwargs)
+        with pytest.raises(ParameterError):
+            burgess_sweep(**kwargs)
+    check_sweep(1, 3, 6)

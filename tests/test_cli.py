@@ -1,15 +1,23 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qrstats
 
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
+    COMMANDS,
+    RunConfig,
     _checkpoint_key,
+    _int_list,
+    _pair_list,
     _write_checkpoint,
     main,
     parse_args,
@@ -96,6 +104,19 @@ def test_parse_zero_as_residue_flag():
         ["crt", "--pairs", "4:1"],
         ["crt", "--pairs", "3;1"],
         ["erdos", "--x", "100", "--workers", "0"],
+        ["sfree", "--u", "0", "--h", "0"],
+        ["charsum", "--q", "7", "--M", "100", "--nu", "0"],
+        ["charsum", "--q", "7", "--M", "0"],
+        ["gaps", "--p", "11", "--tail", "--h", "0"],
+        ["rough", "--eta", "0.5", "--M", "1"],
+        ["exceptional", "--q", "100", "--u", "-1", "--h", "2"],
+        ["exceptional", "--q", "100", "--u", "0", "--h-multiples", "0"],
+        ["trace", "--q", "1000", "--u", "0", "--h", "12", "--eta", "1.5"],
+        ["dup", "--p", "9", "--u", "1"],
+        ["nres", "--lo", "1", "--hi", "10"],
+        # both moduli are prime; their product is at least 2**127
+        ["crt", "--pairs", "18446744073709551557:1,18446744073709551533:2"],
+        ["exceptional", "--q", "-5", "--u", "0", "--h-multiples", "2"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -103,6 +124,63 @@ def test_usage_errors_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err != ""
+
+
+# Bounded integers, weighted towards the small values where most
+# preconditions have their edges.
+_INTS = st.integers(-3, 40) | st.integers(-10**4, 10**4)
+
+
+def _flag_values(flags, options):
+    """A strategy for one flag of the parser's own vocabulary and its value."""
+    if options.get("action") == "store_true":
+        return st.just([flags[0]])
+    kind = options.get("type")
+    if "choices" in options:
+        value = st.sampled_from([*options["choices"], "bogus"])
+    elif flags[0] == "--h-multiples":
+        value = st.integers(-10**4, 50).map(str)
+    elif kind is int:
+        value = _INTS.map(str)
+    elif kind is float:
+        value = st.floats(-2.0, 2.0).map(repr) | st.sampled_from(["nan", "inf"])
+    elif kind is _int_list:
+        value = st.lists(_INTS, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    elif kind is _pair_list:
+        pair = st.tuples(_INTS, _INTS).map(lambda lu: "%d:%d" % lu)
+        value = st.lists(pair, min_size=1, max_size=3).map(",".join) | st.just("3;1")
+    else:
+        value = st.just("unused.path")
+    return value.map(lambda v: [flags[0], v])
+
+
+_SHARED_FLAGS = [
+    (("--format",), {"choices": ("csv", "json")}),
+    (("--workers",), {"type": int}),
+    (("--zero-as-residue",), {"choices": ("true", "false")}),
+]
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for flags, options in [*COMMANDS[name].args, *_SHARED_FLAGS]:
+        # Required flags are usually given, others about one time in three,
+        # so most argv get past argparse to the precondition checks.
+        if draw(st.integers(0, 9)) < (9 if options.get("required") else 3):
+            argv += draw(_flag_values(flags, options))
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_argvs())
+def test_parse_args_fuzz_ends_in_config_or_usage_exit(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            assert isinstance(parse_args(argv), RunConfig)
+        except SystemExit as exc:
+            assert exc.code in (0, 1)
 
 
 def test_version(capsys):
@@ -293,6 +371,73 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[-1] == "11,2,4"
 
 
+# sha256 of stdout for one small run per subcommand and format.  Output
+# bytes are a contract, so these change only with a deliberate format change.
+GOLDEN = [
+    ("nres --p 11 --format csv", "f8cf7dac0f021b08016b9115cca47d00c43db413414ce5c722d7504f6ac406f6"),
+    ("nres --p 11 --format json", "e269038885953090130076c356ed205f1d023e8db6de920492bd2a2c7c23d621"),
+    ("nres --lo 2 --hi 200 --format csv", "465419a5b026df74fd11cbecd58141cc9fe0dff3ba5c25dba1026b3d4dc6aff7"),
+    ("nres --lo 2 --hi 200 --format json", "4b811b6afa51fef3b8ac513a913b05a86b85e7a463f67999991d19e7a74bd6b2"),
+    ("dp --p 13 --format csv", "543ed88f61a661e5a1285a0fbf3f973b0e930a05f098fb554e4c50282e228b4e"),
+    ("dp --p 13 --format json", "948662a39017d34f902798fb059f4787f6261111dbffee64f7b6162fd050fcfb"),
+    ("dp --lo 3 --hi 80 --zero-as-residue false --format csv",
+     "d23d4d810d698ebaba703d4eb36544bf0e5fa0ed35ac69a57d847cae34741dc4"),
+    ("dp --lo 3 --hi 80 --zero-as-residue false --format json",
+     "5fc58faa3e42a430bbf5c87d187f60639ca6502fda3a320471141589e840b45c"),
+    ("dup --p 11 --u 2 --format csv", "3526b47f347e2d4dfc123840d67f1e0240cedec3e5384bd14b1966f4bdc59788"),
+    ("dup --p 11 --u 2 --format json", "6ff66b78d7a83a3649fe393e8bd21c8f832b504097b012444f313b73e6891cca"),
+    ("gaps --p 31 --format csv", "fa382aecde66d2c3a70576108650b894a7ad1c77757d90e887470dce81f55802"),
+    ("gaps --p 31 --format json", "9c8f19f4b00c12f683f124adfa572d57a13570825af2bc29be1101890eed24a8"),
+    ("gaps --lo 3 --hi 60 --tail --h 2 --format csv", "5b861b5694fd5b2a29d75ed952e8ef3a6a4033f319e85db59905c7e3e38c4fac"),
+    ("gaps --lo 3 --hi 60 --tail --h 2 --format json", "e268f7cfa624d2a2895a45c2a6d3f6488dcca9c05e405bffc7e8e3374e0d9e49"),
+    ("gaps --p 101 --tail --h-rule quarter --format csv",
+     "9c25ce4d1b511ee77cdf0af3295be26b09d1c7103363af1a5f5d9d9baa6f7225"),
+    ("gaps --p 101 --tail --h-rule quarter --format json",
+     "37b115f8c1985d341144df6708df09857ac98de33c8c926cc2e78938022fbd49"),
+    ("charsum --q 30021 --M 966 --format csv", "ec984556568f4cac150419f082f188d8a9c2173f37a1d716f542df5eca553fbd"),
+    ("charsum --q 30021 --M 966 --format json", "f2673f81c741fe2718768ad6eb702d3c6a4f6be1321f59ac80f1533884287ba8"),
+    ("charsum --q 1003 --M 100 --nu 5 --format csv", "27656d722e0fc383214f1723fcc5e870e614a8c5beac6c66bbb56280ff2d9544"),
+    ("charsum --q 1003 --M 100 --nu 5 --format json", "75d70b7483fc145e6d165869242f87d5fea392157f8983aaea901e695cbcbc32"),
+    ("charsum --sweep --count 3 --q-lo 1000 --q-hi 5000 --seed 7 --format csv",
+     "809fd39e3fb107185482b5abd70ec9b8974b384f2bbc7a634b7f11b1aef3acd6"),
+    ("charsum --sweep --count 3 --q-lo 1000 --q-hi 5000 --seed 7 --format json",
+     "399102077cc4d8a725dc07988dc30c94c996457395e3091cc78114ff13981a0a"),
+    ("charsum --sweep --count 2 --q-lo 1000 --q-hi 5000 --seed 7 --M 50 --nu 4 --format csv",
+     "a41f41d48f73c0a4d705270228456b87aa296cfa750efa52bc78060fa806d05f"),
+    ("charsum --sweep --count 2 --q-lo 1000 --q-hi 5000 --seed 7 --M 50 --nu 4 --format json",
+     "635790584ad3cb6b8a88db65eabe63fdfcccb7ec773b8e940fad6d6ba97c01fa"),
+    ("rough --eta 0.5 --M 100 --format csv", "604685869ed4fea2970f8a26450a073b5153f43be49bf81768086aefe4e7a4bd"),
+    ("rough --eta 0.5 --M 100 --format json", "2b3ca10f697d4ce417f6519e7087f30e2e8ea69d3cbe679efbf38b39cf314ced"),
+    ("rough --eta 0.3 --M 1000 --q 1009 --format csv", "c4df40fbe7774f0f27a1318223caa7bc4b13955579919789113fccd2b13ee4d9"),
+    ("rough --eta 0.3 --M 1000 --q 1009 --format json", "eaee3ea98d1b1cab3d7c83a6fdc742db9be96f9cbccf971e61deb47eb1436595"),
+    ("sfree --u 10 --h 50 --format csv", "51279a5b4a7fb4d07626f5953c2af1b1758ce3c9a8e7486c28ccec55c4ab2b83"),
+    ("sfree --u 10 --h 50 --format json", "89c410e9648e8c8ccfa9ade5c5f0b1a94192d587f3fb31a799aca728bb71ae4e"),
+    ("erdos --x-list 100,1000 --x 50 --format csv", "6a01895987d091e8cea657787c0ebb4cc45c16bdc791d52b1a22466738c53c98"),
+    ("erdos --x-list 100,1000 --x 50 --format json", "e6a3b6ef73e61e9bfe551715541c0a5fb0a4008029c249df5055236b9db623af"),
+    ("exceptional --q 1000 --u 0 --h-list 2,3 --format csv",
+     "cc39f75934be4bfbf9854d26f75fcf8d2aba5dfa6c7af2bf4afb15fb175951ca"),
+    ("exceptional --q 1000 --u 0 --h-list 2,3 --format json",
+     "fe2d0d4850b7b701b539c53b1cebc555603c5ee30b3ac289bb6cac72ace76f1b"),
+    ("exceptional --q 3000 --u 7000 --h 2 --format csv", "5ba3743243ae74d1373284617032fbb82a86b8b94e6507caf74f402b94408ff8"),
+    ("exceptional --q 3000 --u 7000 --h 2 --format json", "46ab5a260c0194638461afd11de8d582757be490a9242a0b9c31775f2e2713cb"),
+    ("exceptional --q 1000 --u-samples 2 --seed 3 --h-multiples 2 --format csv",
+     "bc41dc5c3dd51a476edc414b4f051ed69e7ea77abc9e2fabc751d18520f67ca9"),
+    ("exceptional --q 1000 --u-samples 2 --seed 3 --h-multiples 2 --format json",
+     "1ff43234a38b2a69587d44f6ff00fdd5f8261c34d5069b5359e40544ff6fcaa4"),
+    ("trace --q 1000 --u 0 --h 12 --eta 0.15", "b25424a73a24e51eec627989b941e865583dbae2bd240948a5ec9710fadf0097"),
+    ("crt --pairs 3:1,5:2,7:6 --format csv", "197e73b0bf08dde44917199aeab8cbe30e80c2ffce9d7603e64373b2156773c5"),
+    ("crt --pairs 3:1,5:2,7:6 --format json", "9ce2e0c3b7281ba650142fbe9f5103d683e25fa198f93cb72eeae9d304a82513"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
+def test_golden_output_digest(capsys, command, digest, workers):
+    code, out, _ = run_cli(capsys, *command.split(), "--workers", workers)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_computation_error_exits_2(capsys):
     code, out, err = run_cli(capsys, "trace", "--q", "1000", "--u", "0", "--h", "12", "--eta", "0.08")
     assert code == 2
@@ -362,3 +507,24 @@ def test_checkpoint_garbage_exits_2(tmp_path, capsys):
         capsys, "exceptional", "--q", "100000", "--u", "0", "--h", "2", "--checkpoint", str(ckpt)
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("hits", "hits: 7:x"), ("next_block", None), ("blocks", "blocks: zz")],
+)
+def test_checkpoint_malformed_exits_2(tmp_path, capsys, field, bad):
+    Q = 100000
+    ckpt = tmp_path / "malformed.ckpt"
+    base = ["exceptional", "--q", str(Q), "--u", "0", "--h", "2", "--checkpoint", str(ckpt)]
+    key = _checkpoint_key(parse_args(base))
+    _write_checkpoint(str(ckpt), key, len(exceptional_blocks(Q)), _partial_state(Q, 0, [2])[0])
+    lines = [
+        line if not line.startswith(field + ":") else bad
+        for line in ckpt.read_text().splitlines()
+    ]
+    ckpt.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    code, out, err = run_cli(capsys, *base)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrstats: error:")

@@ -9,6 +9,9 @@ from qrstats.experiments import (
     ERDOS_X_BUDGET,
     ExceptionalState,
     _square_product_pairs,
+    check_erdos,
+    check_exceptional,
+    check_trace,
     erdos_constant,
     erdos_constant_partial,
     erdos_mean,
@@ -17,6 +20,7 @@ from qrstats.experiments import (
     exceptional_density,
     exceptional_density_sweep,
     gap_tail_scan,
+    h_multiples,
     h_quarter_power,
     proof_trace,
     squarefree_pair_density,
@@ -321,3 +325,40 @@ def test_square_product_pairs_brute(ns):
 def test_square_product_pairs_diagonal():
     assert set(_square_product_pairs([3, 5, 7])) == {(0, 0), (1, 1), (2, 2)}
     assert (0, 1) in _square_product_pairs([2, 8])
+
+
+def test_check_erdos_raises_like_erdos_mean_curve():
+    for xs in [[], [2], [100, 1]]:
+        with pytest.raises(ParameterError):
+            check_erdos(xs)
+        with pytest.raises(ParameterError):
+            erdos_mean_curve(xs)
+    check_erdos([3])
+
+
+def test_check_exceptional_raises_like_exceptional_density_sweep():
+    for Q, u, hs in [(5, 0, [1]), (100, -1, [1]), (100, 0, []), (100, 0, [0, 3])]:
+        with pytest.raises(ParameterError):
+            check_exceptional(Q, u, hs)
+        with pytest.raises(ParameterError):
+            exceptional_density_sweep(Q, u, hs)
+    check_exceptional(10, 0, [50])
+
+
+def test_check_trace_raises_like_proof_trace():
+    for args in [(9, 0, 2, 0.3), (1000, -1, 12, 0.15), (1000, 0, 0, 0.15), (1000, 0, 1000, 0.15),
+                 (1000, 0, 12, 1.5), (1000, 0, 12, 0.0)]:
+        with pytest.raises(ParameterError):
+            check_trace(*args)
+        with pytest.raises(ParameterError):
+            proof_trace(*args)
+    # the (2Q)**eta bounds need rough_threshold and stay with proof_trace
+    check_trace(1000, 0, 12, 0.08)
+
+
+def test_h_multiples():
+    assert h_multiples(100000, 3) == [12, 24, 36]
+    with pytest.raises(ParameterError):
+        h_multiples(100000, 0)
+    with pytest.raises(ParameterError):
+        h_multiples(5, 2)

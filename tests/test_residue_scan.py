@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrstats.errors import ParameterError, ResourceError, ScanError
 from qrstats.residue_scan import (
+    check_crt,
+    check_tail,
     crt_adversarial_u,
     first_nonresidue_after,
     first_nonresidues_after,
@@ -221,3 +223,31 @@ def test_crt_validates():
     big = [int(p) for p in primes_in(3, 110).tolist()]
     with pytest.raises(ResourceError):
         crt_adversarial_u([(p, 1) for p in big])
+
+
+def test_check_tail_raises_like_gap_tail():
+    stats = gap_stats(11)
+    for h in [0, -4]:
+        with pytest.raises(ParameterError):
+            check_tail(h)
+        with pytest.raises(ParameterError):
+            gap_tail(stats, h)
+    check_tail(1)
+
+
+def test_check_crt_raises_like_crt_adversarial_u():
+    big = [(18446744073709551557, 1), (18446744073709551533, 2)]
+    cases = [([], ParameterError), ([(3, 1), (3, 2)], ParameterError), ([(4, 1)], ParameterError),
+             ([(1, 0)], ParameterError), (big, ResourceError)]
+    for pairs, error in cases:
+        with pytest.raises(error):
+            check_crt(pairs)
+        with pytest.raises(error):
+            crt_adversarial_u(pairs)
+    check_crt([(3, 1), (5, 2)])
+
+
+def test_first_nonresidue_after_checks_its_window():
+    # dup's precondition: the same check_window as squarefree_in_interval
+    with pytest.raises(ParameterError):
+        first_nonresidue_after(11, -1)

@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qrstats.errors import FactorizationError, ParameterError, ResourceError
 from qrstats.sieve import (
     EULER_GAMMA,
+    check_eta,
+    check_range,
+    check_rough,
+    check_window,
     coprime_count,
     distinct_prime_factors,
     feller_tornier_A,
@@ -223,3 +227,42 @@ def test_coprime_count_residual_bound(M, q):
     for p in distinct_prime_factors(q):
         phi = phi // p * (p - 1)
     assert got.main_term == pytest.approx(phi * M / q)
+
+
+# Each check_* helper raises what its function raised before it existed.
+
+def test_check_range_raises_like_primes_in():
+    for lo, hi in [(1, 10), (0, 0), (10, 9)]:
+        with pytest.raises(ParameterError):
+            check_range(lo, hi)
+        with pytest.raises(ParameterError):
+            primes_in(lo, hi)
+    check_range(2, 2)
+
+
+def test_check_eta_raises_like_rough_threshold():
+    for eta in [0.0, 1.0, -0.5, 1.5, float("nan")]:
+        with pytest.raises(ParameterError):
+            check_eta(eta)
+        with pytest.raises(ParameterError):
+            rough_threshold(eta, 100)
+    check_eta(0.5)
+
+
+def test_check_rough_raises_like_rough_set():
+    for eta, M in [(0.5, 1), (0.5, -3), (1.5, 100), (0.0, 100)]:
+        with pytest.raises(ParameterError):
+            check_rough(eta, M)
+        with pytest.raises(ParameterError):
+            rough_set(eta, M)
+    check_rough(0.5, 2)
+
+
+def test_check_window_raises_like_squarefree_in_interval():
+    for u, h in [(-1, 5), (0, 0), (10, -2)]:
+        with pytest.raises(ParameterError):
+            check_window(u, h)
+        with pytest.raises(ParameterError):
+            squarefree_in_interval(u, h)
+    check_window(0, 1)
+    check_window(0)
