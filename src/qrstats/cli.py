@@ -16,8 +16,8 @@ and crt moduli are checked here alone.
 
 Exit codes: 0 success; 1 usage error, any violated precondition
 included, found at parse time before anything is computed; 2 resource
-budget or computation error (message on standard error, nothing on
-standard output).
+budget, computation or file error (message on standard error, nothing
+on standard output).
 """
 
 from __future__ import annotations
@@ -289,20 +289,20 @@ def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState)
 def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | None:
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise QRStatsError(f"unrecognized checkpoint file {path}")
-    fields = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(": ")
-        if sep:
-            fields[name] = value
-        elif line.endswith(":"):
-            fields[line[:-1]] = ""
-    if fields.get("key") != key:
-        raise QRStatsError(f"checkpoint {path} belongs to a different run: {fields.get('key')!r}")
     try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        if not lines or lines[0] != CHECKPOINT_MAGIC:
+            raise QRStatsError(f"unrecognized checkpoint file {path}")
+        fields = {}
+        for line in lines[1:]:
+            name, sep, value = line.partition(": ")
+            if sep:
+                fields[name] = value
+            elif line.endswith(":"):
+                fields[line[:-1]] = ""
+        if fields.get("key") != key:
+            raise QRStatsError(f"checkpoint {path} belongs to a different run: {fields.get('key')!r}")
         if int(fields.get("blocks", -1)) != blocks:
             raise QRStatsError(f"checkpoint {path} used a different block partition")
         hits = []
@@ -509,33 +509,26 @@ def _exceptional_params(ns) -> dict[str, Any]:
 
 def _run_exceptional(config: RunConfig):
     p = config.params
-    Q, h_list = p["Q"], p["h_list"]
+    Q = p["Q"]
     if "u" in p:
         u_values = [p["u"]]
     else:
         rng = XorShift64Star(config.seed)
         u_values = [rng.draw_in(0, 2 * Q) for _ in range(p["u_samples"])]
-    rows = []
-    extra: dict[str, Any] = {}
-    for u in u_values:
-        resume = None
-        block_done = None
-        if config.checkpoint_path is not None:
-            key = _checkpoint_key(config)
-            blocks = len(exceptional_blocks(Q))
-            resume = _read_checkpoint(config.checkpoint_path, key, blocks)
+    resume = block_done = None
+    if config.checkpoint_path is not None:
+        key, blocks = _checkpoint_key(config), len(exceptional_blocks(Q))
+        resume = _read_checkpoint(config.checkpoint_path, key, blocks)
 
-            def block_done(state):
-                if state.next_block == blocks or state.next_block % config.checkpoint_every == 0:
-                    _write_checkpoint(config.checkpoint_path, key, blocks, state)
+        def block_done(state):
+            if state.next_block == blocks or state.next_block % config.checkpoint_every == 0:
+                _write_checkpoint(config.checkpoint_path, key, blocks, state)
 
-        results = exceptional_density_sweep(
-            Q, u, h_list, config.workers, resume=resume, block_done=block_done
-        )
-        for r in results:
-            rows.append((r.Q, r.u, r.h, r.exceptional, r.total_primes, r.density))
-        if any(r.u_exceeds_2q for r in results):
-            extra["u_exceeds_2q"] = True
+    results = exceptional_density_sweep(
+        Q, u_values, p["h_list"], config.workers, resume=resume, block_done=block_done
+    )
+    rows = [(r.Q, r.u, r.h, r.exceptional, r.total_primes, r.density) for r in results]
+    extra = {"u_exceeds_2q": True} if any(r.u_exceeds_2q for r in results) else {}
     return {"header": ["Q", "u", "h", "exceptional", "total", "density"], "rows": rows}, extra
 
 
@@ -646,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return run(config)
-    except QRStatsError as exc:
+    except (QRStatsError, OSError) as exc:
         print(f"qrstats: error: {exc}", file=sys.stderr)
         return 2
 

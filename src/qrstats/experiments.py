@@ -7,11 +7,13 @@ exceptional count.
 
 Concurrency model: a prime range is cut into fixed contiguous blocks of
 2**16 integers.  The block partition depends only on the range, never on
-the worker count; workers compute per-block partials and the parent
-merges them in block order.  Output is therefore bit-identical for one
-worker and for fifty.  All scalar merges are plain integer sums, and
-witness lists concatenate in block order, so nothing here depends on
-scheduling.
+the worker count.  Each command makes one _map_blocks pass over its
+blocks, so it forks at most one pool: workers compute per-block partials
+and the parent merges them in block order.  An exceptional scan over
+several u sieves each block once and scans every u on it.  Output is
+therefore bit-identical for one worker and for fifty.  All scalar merges
+are plain integer sums, and witness lists concatenate in block order, so
+nothing here depends on scheduling.
 
 This module performs no file or network I/O; the cli module owns
 serialization and checkpoint files.
@@ -23,7 +25,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,30 +63,21 @@ def _blocks(lo: int, hi: int, edges: Sequence[int] = ()) -> list[tuple[int, int]
     return out
 
 
-def _map_blocks(fn, argss: list, workers: int, merge: Callable | None = None) -> list:
-    """Apply fn to every args tuple, in order.
+def _map_blocks(fn, argss: list, workers: int) -> Iterator:
+    """Yield fn(args) for every args tuple, in submission order.
 
     With workers > 1 a fork pool evaluates blocks concurrently, but
-    results are consumed in submission order (imap), so the merge
-    callback sees exactly the sequence a serial run would produce.
+    results are consumed in submission order (imap), so the caller sees
+    exactly the sequence a serial run would produce.
     """
     if workers < 1:
         raise ParameterError(f"need workers >= 1, got {workers}")
-    results = []
     if workers > 1 and len(argss) > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            for res in pool.imap(fn, argss):
-                results.append(res)
-                if merge is not None:
-                    merge(res)
+            yield from pool.imap(fn, argss)
     else:
-        for args in argss:
-            res = fn(args)
-            results.append(res)
-            if merge is not None:
-                merge(res)
-    return results
+        yield from map(fn, argss)
 
 
 # --- Erdos mean of the least non-residue ---------------------------------
@@ -229,11 +222,17 @@ def check_exceptional(Q: int, u: int, h_list: Sequence[int]) -> None:
 
 
 def h_multiples(Q: int, k: int) -> list[int]:
-    """The h grid ceil(log Q) * (1, 2, ..., k), for Q >= 10 and k >= 1."""
+    """The h grid ceil(log Q) * (1, 2, ..., k), for Q >= 10 and k >= 1.
+
+    The grid must stop by 2Q, checked before it is built: every prime
+    p <= 2Q has a non-residue within p steps, so larger h count nothing.
+    """
     _check_q_range(Q)
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     unit = math.ceil(math.log(Q))
+    if unit * k > 2 * Q:
+        raise ParameterError(f"need ceil(log Q) * k <= 2Q = {2 * Q}, got {unit * k}")
     return [unit * i for i in range(1, k + 1)]
 
 
@@ -244,17 +243,38 @@ def exceptional_blocks(Q: int) -> list[tuple[int, int]]:
     return _blocks(Q, 2 * Q)
 
 
-def _scan_exceptional_block(args: tuple[int, int, int, int, int]) -> tuple[int, list]:
-    lo, hi, u, h_min, h_cap = args
+def _scan_exceptional_block(args: tuple[int, int, tuple[int, ...], int, int]) -> tuple[int, list]:
+    lo, hi, us, h_min, h_cap = args
     primes = primes_in(lo, hi)
-    d = first_nonresidues_after(primes, u, h_cap)
-    sel = d > h_min
-    return primes.size, list(zip(primes[sel].tolist(), d[sel].tolist()))
+    hits = []
+    for u in us:
+        d = first_nonresidues_after(primes, u, h_cap)
+        sel = d > h_min
+        hits.append(np.column_stack((primes[sel], d[sel])))
+    return primes.size, hits
+
+
+def _check_resume(state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int]) -> None:
+    """A resume state must be one the scan could have reached: hits
+    strictly ascending inside the merged blocks, each d in
+    (min h, max h + 1], and no more hits than primes."""
+    if not 0 <= state.next_block <= len(blocks):
+        raise ParameterError(f"resume block {state.next_block} outside 0..{len(blocks)}")
+    top = blocks[state.next_block - 1][1] if state.next_block else blocks[0][0] - 1
+    ps = [p for p, _ in state.hits]
+    if any(a >= b for a, b in zip(ps, ps[1:])):
+        raise ParameterError("resume hits are not strictly ascending")
+    if ps and not blocks[0][0] <= ps[0] <= ps[-1] <= top:
+        raise ParameterError(f"resume hits lie outside the merged range [{blocks[0][0]}, {top}]")
+    if any(not hs[0] < d <= hs[-1] + 1 for _, d in state.hits):
+        raise ParameterError(f"resume hits need d in ({hs[0]}, {hs[-1] + 1}]")
+    if state.total < len(ps):
+        raise ParameterError(f"resume total {state.total} is below its {len(ps)} hits")
 
 
 def exceptional_density_sweep(
     Q: int,
-    u: int,
+    u: int | Sequence[int],
     h_list: Sequence[int],
     workers: int = 1,
     *,
@@ -262,50 +282,44 @@ def exceptional_density_sweep(
     resume: ExceptionalState | None = None,
     block_done: Callable[[ExceptionalState], None] | None = None,
 ) -> list[ExceptionalDensity]:
-    """One scan of [Q, 2Q], reported at every h in h_list (ascending).
+    """One scan of [Q, 2Q], reported at every h in h_list (ascending)
+    for each u.
 
-    d = first_nonresidue_after(p, u) is evaluated once per prime, capped
-    just past max(h_list), and each requested h counts the primes with
-    d > h.  resume and block_done expose the scan's block progress so a
-    caller can persist and restart long runs; both speak ExceptionalState
-    and neither changes the result.
+    u is one int or a sequence of ints; rows come u by u in the order
+    given, duplicates included.  Each block is sieved once for all u, and
+    d = first_nonresidue_after(p, u) is evaluated once per prime and u,
+    capped just past max(h_list); each requested h counts the primes with
+    d > h.  resume and block_done expose the block progress of a single-u
+    scan so a caller can persist and restart long runs; both speak
+    ExceptionalState and neither changes the result.
     """
-    check_exceptional(Q, u, h_list)
+    us = list(u) if isinstance(u, Sequence) else [u]
+    if not us:
+        raise ParameterError("need at least one u")
+    check_exceptional(Q, min(us), h_list)
+    if len(us) > 1 and (resume is not None or block_done is not None):
+        raise ParameterError("resume and block_done need a single u")
     hs = sorted({int(h) for h in h_list})
     blocks = exceptional_blocks(Q)
     state = resume if resume is not None else ExceptionalState(0, 0, ())
-    if not 0 <= state.next_block <= len(blocks):
-        raise ParameterError(f"resume block {state.next_block} outside 0..{len(blocks)}")
-    total = state.total
-    hits = list(state.hits)
-    done = state.next_block
-
-    def merge(res):
-        nonlocal total, done
-        block_total, block_hits = res
+    _check_resume(state, blocks, hs)
+    total, done = state.total, state.next_block
+    # (p, d) rows per u, one int64 array per block
+    hits = [[np.array(state.hits, dtype=np.int64).reshape(-1, 2)] for _ in us]
+    argss = [(lo, hi, tuple(us), hs[0], hs[-1]) for lo, hi in blocks[done:]]
+    for block_total, block_hits in _map_blocks(_scan_exceptional_block, argss, workers):
         total += block_total
-        hits.extend(block_hits)
+        for parts, new in zip(hits, block_hits):
+            parts.append(new)
         done += 1
         if block_done is not None:
-            block_done(ExceptionalState(done, total, tuple(hits)))
-
-    argss = [(lo, hi, u, hs[0], hs[-1]) for lo, hi in blocks[state.next_block :]]
-    _map_blocks(_scan_exceptional_block, argss, workers, merge=merge)
+            block_done(ExceptionalState(done, total, tuple(map(tuple, np.concatenate(hits[0]).tolist()))))
     out = []
-    for h in hs:
-        witnesses = [p for p, d in hits if d > h]
-        out.append(
-            ExceptionalDensity(
-                Q,
-                u,
-                h,
-                len(witnesses),
-                total,
-                len(witnesses) / total,
-                tuple(witnesses[:witness_cap]),
-                u > 2 * Q,
-            )
-        )
+    for v, parts in zip(us, hits):
+        p, d = np.concatenate(parts).T
+        for h in hs:
+            w = p[d > h]
+            out.append(ExceptionalDensity(Q, v, h, w.size, total, w.size / total, tuple(w[:witness_cap].tolist()), v > 2 * Q))
     return out
 
 

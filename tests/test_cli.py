@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qrstats
 
+from qrstats import experiments
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
     COMMANDS,
@@ -24,6 +25,7 @@ from qrstats.cli import (
 )
 from qrstats.experiments import exceptional_blocks, exceptional_density_sweep
 from qrstats.rng import XorShift64Star
+from qrstats.sieve import primes_in
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,7 @@ def test_parse_zero_as_residue_flag():
         # both moduli are prime; their product is at least 2**127
         ["crt", "--pairs", "18446744073709551557:1,18446744073709551533:2"],
         ["exceptional", "--q", "-5", "--u", "0", "--h-multiples", "2"],
+        ["exceptional", "--q", "10", "--u", "0", "--h-multiples", "3000000"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -344,6 +347,22 @@ def test_repeat_runs_byte_identical(capsys):
     assert first == second
 
 
+def test_exceptional_u_samples_sieve_each_block_once(monkeypatch, capsys):
+    sieved = []
+
+    def counting_primes_in(lo, hi):
+        sieved.append((lo, hi))
+        return primes_in(lo, hi)
+
+    monkeypatch.setattr(experiments, "primes_in", counting_primes_in)
+    Q = 100000
+    code, _, _ = run_cli(
+        capsys, "exceptional", "--q", str(Q), "--u-samples", "5", "--seed", "1", "--h", "2", "--workers", "1"
+    )
+    assert code == 0
+    assert sieved == exceptional_blocks(Q)
+
+
 def test_worker_count_byte_identical(capsys):
     args = ["exceptional", "--q", "100000", "--u-samples", "2", "--seed", "1", "--h", "2"]
     _, one, _ = run_cli(capsys, *args, "--workers", "1")
@@ -369,6 +388,23 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[-1] == "11,2,4"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda tmp: ["--out", str(tmp / "missing" / "out.csv")],
+        lambda tmp: ["--checkpoint", str(tmp)],
+        lambda tmp: ["--checkpoint", str(tmp / "not-utf8.ckpt")],
+    ],
+    ids=["out-in-missing-dir", "checkpoint-is-dir", "checkpoint-not-utf8"],
+)
+def test_file_errors_exit_2(tmp_path, capsys, extra):
+    (tmp_path / "not-utf8.ckpt").write_bytes(CHECKPOINT_MAGIC.encode() + b"\nkey: \xff\xfe\n")
+    code, out, err = run_cli(capsys, "exceptional", "--q", "1000", "--u", "0", "--h", "2", *extra(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrstats: error:")
 
 
 # sha256 of stdout for one small run per subcommand and format.  Output
@@ -511,7 +547,18 @@ def test_checkpoint_garbage_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, bad",
-    [("hits", "hits: 7:x"), ("next_block", None), ("blocks", "blocks: zz")],
+    [
+        ("hits", "hits: 7:x"),
+        ("next_block", None),
+        ("blocks", "blocks: zz"),
+        # resume states the scan could not have reached: block 0 is
+        # [100000, 165535] and h = 2 makes every d equal 3
+        ("hits", "hits: 100019:3 100003:3"),
+        ("hits", "hits: 99991:3"),
+        ("hits", "hits: 165541:3"),
+        ("hits", "hits: 100003:2"),
+        ("total", "total: 0"),
+    ],
 )
 def test_checkpoint_malformed_exits_2(tmp_path, capsys, field, bad):
     Q = 100000

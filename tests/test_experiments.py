@@ -142,6 +142,14 @@ def test_exceptional_worker_invariant():
     assert a == b
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_exceptional_many_u_equals_single_u_sweeps(workers):
+    Q, hs = 10**5, [2, 4]
+    us = [7, 250001, 7]
+    many = exceptional_density_sweep(Q, us, hs, workers=workers)
+    assert many == [d for u in us for d in exceptional_density_sweep(Q, u, hs)]
+
+
 def test_exceptional_resume_equals_full_run():
     Q = 10**5
     states = []
@@ -172,6 +180,12 @@ def test_exceptional_validation():
         exceptional_density_sweep(100, 0, [0])
     with pytest.raises(ParameterError):
         exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(99, 0, ()))
+    with pytest.raises(ParameterError):
+        exceptional_density_sweep(100, [], [1])
+    with pytest.raises(ParameterError):
+        exceptional_density_sweep(100, [0, 1], [1], resume=ExceptionalState(0, 0, ()))
+    with pytest.raises(ParameterError):
+        exceptional_density_sweep(100, [0, 1], [1], block_done=print)
 
 
 # --- Gap-tail scaling ----------------------------------------------------
@@ -362,3 +376,8 @@ def test_h_multiples():
         h_multiples(100000, 0)
     with pytest.raises(ParameterError):
         h_multiples(5, 2)
+    # ceil(log 10) = 3; the grid may reach 2Q = 20 but not pass it
+    assert h_multiples(10, 6)[-1] == 18
+    for k in [7, 3000000]:
+        with pytest.raises(ParameterError):
+            h_multiples(10, k)
