@@ -280,10 +280,27 @@ def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState)
         f"total: {state.total}\n"
         f"hits: {hits}\n"
     )
+    _write_atomic(path, body)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through path + ".tmp" and a rename, so an
+    interrupted write leaves any earlier file at path whole.  A path that
+    exists but is not a regular file (a device or pipe) cannot be renamed
+    over and is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(body)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | None:
@@ -619,7 +636,8 @@ def run(config: RunConfig) -> int:
 
     The document is rendered in full before anything is written, so a
     failure part way through a computation leaves standard output (or
-    the --out file) untouched.
+    the --out file) untouched; the --out file is replaced whole (see
+    _write_atomic), so a failed write leaves it untouched too.
     """
     body, extra = COMMANDS[config.subcommand].run(config)
     render = _render_json if config.output_format == "json" else _render_csv
@@ -627,8 +645,7 @@ def run(config: RunConfig) -> int:
     if config.output_path is None:
         sys.stdout.write(text)
     else:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
+        _write_atomic(config.output_path, text)
     return 0
 
 

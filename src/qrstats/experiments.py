@@ -31,8 +31,10 @@ import numpy as np
 
 from .arith import is_perfect_square, jacobi_many
 from .errors import DegenerateSetError, ParameterError, ResourceError
-from .residue_scan import first_nonresidues_after, gap_stats, gap_tail, least_nonresidues
+from .residue_scan import _gap_tail_of, first_nonresidues_after, least_nonresidues
 from .sieve import (
+    MAX_ENDPOINT,
+    SPAN_BUDGET,
     check_eta,
     check_window,
     feller_tornier_A,
@@ -208,8 +210,14 @@ class ExceptionalState(NamedTuple):
 
 
 def _check_q_range(Q: int) -> None:
+    """Q >= 10, and [Q, 2Q] within the sieve's span and endpoint budgets,
+    checked before its blocks are listed."""
     if Q < 10:
         raise ParameterError(f"need Q >= 10, got {Q}")
+    if Q > SPAN_BUDGET:
+        raise ResourceError(f"span Q = {Q} exceeds the budget of {SPAN_BUDGET}")
+    if 2 * Q > MAX_ENDPOINT:
+        raise ResourceError(f"endpoint 2Q = {2 * Q} exceeds {MAX_ENDPOINT}")
 
 
 def check_exceptional(Q: int, u: int, h_list: Sequence[int]) -> None:
@@ -356,7 +364,7 @@ def _scan_gap_chunk(args: tuple[tuple[int, ...], object]) -> list[GapTailRow]:
     rows = []
     for p in ps:
         hp = h(p) if callable(h) else int(h)
-        n_h, s_h = gap_tail(gap_stats(p), hp)
+        n_h, s_h = _gap_tail_of(p, hp)
         root = math.sqrt(p)
         rows.append(GapTailRow(p, hp, n_h, s_h, n_h * hp * hp / root, s_h * hp / root))
     return rows

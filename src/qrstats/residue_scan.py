@@ -9,12 +9,22 @@ are supported here.  With zero_as_residue=True (the default everywhere)
 a multiple of p counts as a residue, which makes the classification
 periodic and run statistics cyclic.  With False only 1..p-1 are
 classified and runs cannot wrap.
+
+Every per-prime residue table (residue_map, gap_stats, longest_qr_run
+and the gap-tail scan) comes from one squaring kernel.  It marks
+k*k mod p for 1 <= k <= (p-1)/2 in a bool buffer and lists the unmarked
+classes of 1..p-1, the non-residues, in ascending order.  Its buffers
+are kept per process (per thread, strictly) and grow to the next power
+of two, so a scan over ascending primes allocates nothing p-sized once
+warm; squares are taken in chunks of _SQUARE_CHUNK, so a p near
+RESIDUE_TABLE_BUDGET holds only small intermediates beside its table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,12 +36,91 @@ from .sieve import check_window
 
 RESIDUE_TABLE_BUDGET = 2**31
 
-_SQUARE_CHUNK = 1 << 22
+_SQUARE_CHUNK = 1 << 16
+_POSITION_SLICE = 1 << 14
 
 
 def _check_p(p: int) -> None:
     if p < 3 or p % 2 == 0:
         raise ParameterError(f"need an odd p >= 3, got {p}")
+
+
+def _capacity(n: int) -> int:
+    """The least power of two >= n, so an ascending scan regrows a buffer
+    only when p doubles."""
+    return 1 << (n - 1).bit_length()
+
+
+class _SquareKernel(threading.local):
+    """The one squaring kernel behind every per-prime residue table.
+
+    Its buffers belong to one thread and are reused from prime to prime:
+    they grow to the next power of two and are never freed, so a warm
+    scan allocates nothing p-sized.  Each call overwrites what the last
+    one returned, so callers finish with a view before the next call.
+    """
+
+    def __init__(self) -> None:
+        self.marks = np.empty(0, dtype=bool)
+        self.nonres = np.empty(0, dtype=np.int64)
+        self.steps = np.empty(0, dtype=np.uint64)
+        self.k = np.empty(0, dtype=np.uint64)
+        self.sq = np.empty(0, dtype=np.uint64)
+
+    def square_marks(self, p: int) -> np.ndarray:
+        """A view of p bools, False exactly at the classes k*k mod p for
+        1 <= k <= (p-1)/2."""
+        _check_p(p)
+        if p > RESIDUE_TABLE_BUDGET:
+            raise ResourceError(f"residue table for p={p} exceeds the budget of {RESIDUE_TABLE_BUDGET}")
+        if self.marks.size < p:
+            self.marks = np.empty(_capacity(p), dtype=bool)
+        half = (p - 1) // 2
+        if self.steps.size < min(half, _SQUARE_CHUNK):
+            size = min(_capacity(half), _SQUARE_CHUNK)
+            self.steps = np.arange(size, dtype=np.uint64)
+            self.k = np.empty(size, dtype=np.uint64)
+            self.sq = np.empty(size, dtype=np.uint64)
+        marks = self.marks[:p]
+        marks.fill(True)
+        P = np.uint64(p)
+        for start in range(1, half + 1, _SQUARE_CHUNK):
+            m = min(_SQUARE_CHUNK, half + 1 - start)
+            k, sq = self.k[:m], self.sq[:m]
+            np.add(self.steps[:m], start, out=k)
+            np.multiply(k, k, out=sq)
+            # k*k - (k*k // p) * p, with k reused for the quotient: a
+            # scalar floor_divide is several times faster than %.
+            np.floor_divide(sq, P, out=k)
+            np.multiply(k, P, out=k)
+            np.subtract(sq, k, out=sq)
+            # An int64 index scatters directly; a uint64 one is first
+            # copied to intp.
+            marks[sq.view(np.int64)] = False
+        return marks
+
+    def nonresidues(self, p: int, owned: bool = False) -> np.ndarray:
+        """The ascending non-residues of p in [1, p-1]: a view of the
+        kernel's buffer, or a fresh array when owned."""
+        marks = self.square_marks(p)
+        count = int(np.count_nonzero(marks[1:]))
+        if owned:
+            n = np.empty(count, dtype=np.int64)
+        else:
+            if self.nonres.size < count:
+                self.nonres = np.empty(_capacity(count), dtype=np.int64)
+            n = self.nonres[:count]
+        # Slices keep each flatnonzero temporary under malloc's 128 KB
+        # mmap threshold, so it is recycled from the heap, not mapped anew.
+        pos = 0
+        for start in range(1, p, _POSITION_SLICE):
+            idx = np.flatnonzero(marks[start : start + _POSITION_SLICE])
+            np.add(idx, start, out=n[pos : pos + idx.size])
+            pos += idx.size
+        return n
+
+
+_KERNEL = _SquareKernel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +154,16 @@ def residue_map(p: int, zero_as_residue: bool = True) -> ResidueMap:
     """Tabulate the residues mod p by squaring 1..(p-1)/2.
 
     p must be an odd prime (primality is the caller's responsibility;
-    oddness is checked).  Squares are generated in chunks so the peak
-    intermediate allocation stays bounded for p near the table budget.
+    oddness is checked).
     """
-    _check_p(p)
-    if p > RESIDUE_TABLE_BUDGET:
-        raise ResourceError(f"residue table for p={p} exceeds the budget of {RESIDUE_TABLE_BUDGET}")
-    bits = np.zeros(p, dtype=bool)
-    half = (p - 1) // 2
-    for start in range(1, half + 1, _SQUARE_CHUNK):
-        k = np.arange(start, min(start + _SQUARE_CHUNK, half + 1), dtype=np.int64)
-        bits[k * k % p] = True
+    marks = _KERNEL.square_marks(p)
     if zero_as_residue:
-        bits[0] = True
-    return ResidueMap(p, np.packbits(bits), zero_as_residue)
+        marks[0] = False
+    packed = np.packbits(marks)
+    np.invert(packed, out=packed)
+    if p % 8:
+        packed[-1] &= 0xFF << (8 - p % 8) & 0xFF
+    return ResidueMap(p, packed, zero_as_residue)
 
 
 def least_nonresidue(p: int) -> int:
@@ -114,8 +199,7 @@ class GapStats:
 
 def gap_stats(p: int) -> GapStats:
     """Enumerate the non-residues of p and difference them."""
-    bits = residue_map(p, zero_as_residue=False).bools()
-    n_seq = np.flatnonzero(~bits[1:]).astype(np.int64) + 1
+    n_seq = _KERNEL.nonresidues(p, owned=True)
     return GapStats(p, n_seq, np.diff(n_seq))
 
 
@@ -131,6 +215,17 @@ def gap_tail(stats: GapStats, h: int) -> tuple[int, int]:
     check_tail(h)
     sel = stats.deltas >= h
     return int(np.count_nonzero(sel)), int(stats.deltas[sel].sum())
+
+
+def _gap_tail_of(p: int, h: int) -> tuple[int, int]:
+    """gap_tail(gap_stats(p), h) for the gap-tail scan, computed in the
+    kernel's buffers: the gaps overwrite the non-residues and the marks
+    hold the selection, so nothing p-sized is allocated."""
+    check_tail(h)
+    n = _KERNEL.nonresidues(p)
+    deltas = np.subtract(n[1:], n[:-1], out=n[:-1])
+    sel = np.greater_equal(deltas, h, out=_KERNEL.marks[: deltas.size])
+    return int(np.count_nonzero(sel)), int(np.sum(deltas, where=sel))
 
 
 def first_nonresidue_after(p: int, u: int) -> int:
@@ -178,15 +273,6 @@ def first_nonresidues_after(P, u: int, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def _longest_true_run(b: np.ndarray) -> int:
-    """Length of the longest run of True in a 1-d bool array."""
-    if b.size == 0 or not b.any():
-        return 0
-    padded = np.concatenate((np.zeros(1, dtype=np.int8), b.astype(np.int8), np.zeros(1, dtype=np.int8)))
-    edges = np.flatnonzero(np.diff(padded))
-    return int((edges[1::2] - edges[0::2]).max())
-
-
 def longest_qr_run(p: int, zero_as_residue: bool = True) -> int:
     """Longest run of consecutive integers all classified residues mod p.
 
@@ -194,13 +280,15 @@ def longest_qr_run(p: int, zero_as_residue: bool = True) -> int:
     run is measured cyclically, so a run may straddle a multiple of p.
     Under zero_as_residue=False runs live strictly inside 1..p-1.
     """
-    bits = residue_map(p, zero_as_residue).bools()
-    if not zero_as_residue:
-        return _longest_true_run(bits[1:])
-    if bits.all():
+    n = _KERNEL.nonresidues(p)
+    if not n.size:
         raise ScanError(f"every class mod {p} marked residue; is p={p} prime?")
-    first_false = int(np.argmin(bits))
-    return _longest_true_run(np.roll(bits, -first_false))
+    first, last = int(n[0]), int(n[-1])
+    deltas = np.subtract(n[1:], n[:-1], out=n[:-1])
+    widest = int(deltas.max()) if deltas.size else 0
+    if zero_as_residue:
+        return max(widest, first + p - last) - 1
+    return max(widest - 1, first - 1, p - 1 - last)
 
 
 def check_crt(pairs: Sequence[tuple[int, int]]) -> None:

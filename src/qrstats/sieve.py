@@ -209,10 +209,13 @@ class RoughSet:
 
 
 def check_rough(eta: float, M: int) -> None:
-    """Preconditions of rough_set: 0 < eta < 1 and M >= 2."""
+    """Preconditions of rough_set: 0 < eta < 1 and 2 <= M <= TABLE_BUDGET,
+    the bound checked before the M+1 mask is allocated."""
     check_eta(eta)
     if M < 2:
         raise ParameterError(f"need M >= 2, got {M}")
+    if M > TABLE_BUDGET:
+        raise ResourceError(f"rough mask up to {M} exceeds the budget of {TABLE_BUDGET}")
 
 
 def rough_set(eta: float, M: int) -> RoughSet:

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrstats
 
-from qrstats import experiments
+from qrstats import cli, experiments, sieve
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
     COMMANDS,
@@ -405,6 +406,61 @@ def test_file_errors_exit_2(tmp_path, capsys, extra):
     assert code == 2
     assert out == ""
     assert err.startswith("qrstats: error:")
+
+
+def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "SPAN_BUDGET", 10**4)
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
+    for argv in (["exceptional", "--q", "10001", "--u", "0", "--h", "2"],
+                 ["exceptional", "--q", "10001", "--u-samples", "2", "--seed", "1", "--h-multiples", "2"],
+                 ["trace", "--q", "10001", "--u", "0", "--h", "5", "--eta", "0.3"],
+                 ["rough", "--eta", "0.5", "--M", "1001"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and "budget" in err
+
+
+def test_out_is_replaced_whole(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "result.csv"
+    target.write_bytes(b"earlier run\n")
+
+    class FailingFile(io.StringIO):
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            raise OSError("No space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            open(path, mode).close()  # the real file exists, empty, as a failed write leaves it
+            return FailingFile()
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, out, err = run_cli(capsys, "dup", "--p", "11", "--u", "2", "--out", str(target))
+    assert (code, out) == (2, "") and "No space left" in err
+    assert target.read_bytes() == b"earlier run\n"
+    assert sorted(os.listdir(tmp_path)) == ["result.csv"]
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "dup", "--p", "11", "--u", "2", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_text().splitlines()[-1] == "11,2,4"
+    assert sorted(os.listdir(tmp_path)) == ["result.csv"]
+
+
+def test_out_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out, _ = run_cli(capsys, "dup", "--p", "11", "--u", "2", "--out", str(fifo))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert (code, out) == (0, "")
+    assert received[0].splitlines()[-1] == "11,2,4"
+    assert sorted(os.listdir(tmp_path)) == ["pipe"]
 
 
 # sha256 of stdout for one small run per subcommand and format.  Output

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qrstats import experiments
 from qrstats.arith import is_perfect_square, jacobi
 from qrstats.errors import DegenerateSetError, ParameterError, ResourceError
 from qrstats.experiments import (
@@ -350,6 +352,22 @@ def test_check_erdos_raises_like_erdos_mean_curve():
     check_erdos([3])
 
 
+def test_gap_tail_scan_allocates_nothing_p_sized_once_warm():
+    # Fresh p-sized temporaries for every prime of an ascending scan were
+    # a storm of page faults; the kernel's warm buffers must absorb them.
+    ps = primes_in(120000, 121000).tolist()
+    assert len(ps) == 88
+    gap_tail_scan(ps[-1:], h_quarter_power)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gap_tail_scan(ps, h_quarter_power, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 512 * 1024
+
+
 def test_check_exceptional_raises_like_exceptional_density_sweep():
     for Q, u, hs in [(5, 0, [1]), (100, -1, [1]), (100, 0, []), (100, 0, [0, 3])]:
         with pytest.raises(ParameterError):
@@ -357,6 +375,18 @@ def test_check_exceptional_raises_like_exceptional_density_sweep():
         with pytest.raises(ParameterError):
             exceptional_density_sweep(Q, u, hs)
     check_exceptional(10, 0, [50])
+
+
+def test_q_range_budget_before_blocks(monkeypatch):
+    monkeypatch.setattr(experiments, "SPAN_BUDGET", 10**4)
+    for call in (lambda: exceptional_blocks(10**4 + 1), lambda: h_multiples(10**4 + 1, 1),
+                 lambda: check_exceptional(10**4 + 1, 0, [5]), lambda: exceptional_density_sweep(10**4 + 1, 0, [5])):
+        with pytest.raises(ResourceError):
+            call()
+    assert exceptional_blocks(10**4)[0][0] == 10**4
+    monkeypatch.setattr(experiments, "MAX_ENDPOINT", 2 * 10**4 - 1)
+    with pytest.raises(ResourceError):
+        exceptional_blocks(10**4)
 
 
 def test_check_trace_raises_like_proof_trace():

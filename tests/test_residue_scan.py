@@ -1,9 +1,15 @@
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrstats.errors import ParameterError, ResourceError, ScanError
+from qrstats.experiments import _scan_gap_chunk
 from qrstats.residue_scan import (
+    _KERNEL,
     check_crt,
     check_tail,
     crt_adversarial_u,
@@ -18,7 +24,7 @@ from qrstats.residue_scan import (
 )
 from qrstats.sieve import primes_in
 
-from oracles import classify_residue, legendre_by_squares, longest_run_brute
+from oracles import classify_residue, legendre_by_squares, longest_run_brute, squares_mod
 
 small_primes = st.sampled_from([int(p) for p in primes_in(3, 500).tolist()])
 
@@ -169,6 +175,78 @@ def test_longest_qr_run_matches_brute_force(p, zero_as_residue):
 @given(small_primes)
 def test_longest_qr_run_cyclic_dominates_interior(p):
     assert longest_qr_run(p, True) >= longest_qr_run(p, False)
+
+
+# --- the squaring kernel -------------------------------------------------
+
+def _kernel_order():
+    """3, 5, 7, then large, small, large: the kernel's buffers grow past a
+    power of two (8192, 16384), are reused for smaller p with stale
+    entries beyond p, and grow again."""
+    rng = random.Random(5)
+    large = primes_in(4000, 17000).tolist()
+    small = primes_in(11, 400).tolist()
+    return [3, 5, 7, 8191, *rng.sample(small, 2), 8209, *rng.sample(large, 2), 16411,
+            *rng.sample(small, 2), *rng.sample(large, 2), 13]
+
+
+def test_kernel_tables_match_oracles_in_any_order():
+    for p in _kernel_order():
+        squares = squares_mod(p)
+        nonres = [n for n in range(1, p) if n not in squares]
+        gs = gap_stats(p)
+        assert gs.n_seq.tolist() == nonres
+        assert gs.deltas.tolist() == np.diff(nonres).tolist()
+        assert gs.n_seq.dtype == gs.deltas.dtype == np.int64
+        for flag in (True, False):
+            want = [classify_residue(n, p, flag) for n in range(p)]
+            rm = residue_map(p, flag)
+            assert rm.bools().tolist() == want
+            assert rm.packed.tobytes() == np.packbits(want).tobytes()
+            assert longest_qr_run(p, flag) == longest_run_brute(p, flag)
+        for h in (1, 2, 5, 9):
+            assert _scan_gap_chunk(((p,), h))[0][2:4] == gap_tail(gs, h)
+
+
+def test_gap_stats_never_aliases_the_kernel():
+    gs = gap_stats(10007)
+    n_seq, deltas = gs.n_seq.copy(), gs.deltas.copy()
+    for p in (10009, 3, 20011):
+        gap_stats(p)
+        longest_qr_run(p)
+        longest_qr_run(p, zero_as_residue=False)
+        residue_map(p)
+        _scan_gap_chunk(((p, 10037), 4))
+    assert np.array_equal(gs.n_seq, n_seq)
+    assert np.array_equal(gs.deltas, deltas)
+    for buffer in (_KERNEL.marks, _KERNEL.nonres):
+        assert not np.shares_memory(gs.n_seq, buffer)
+        assert not np.shares_memory(gs.deltas, buffer)
+
+
+def test_kernel_buffers_are_per_thread():
+    primes = [10007, 4099, 20011, 8191, 12289, 3001]
+    want = {p: (longest_qr_run(p), gap_stats(p).deltas.sum()) for p in primes}
+    wrong = []
+
+    def work(order):
+        for _ in range(15):
+            for p in order:
+                if (longest_qr_run(p), gap_stats(p).deltas.sum()) != want[p]:
+                    wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(primes[i:] + primes[:i],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_crt_small_example():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrstats import sieve
 from qrstats.errors import FactorizationError, ParameterError, ResourceError
 from qrstats.sieve import (
     EULER_GAMMA,
@@ -256,6 +257,14 @@ def test_check_rough_raises_like_rough_set():
         with pytest.raises(ParameterError):
             rough_set(eta, M)
     check_rough(0.5, 2)
+
+
+def test_rough_set_budget_before_its_mask(monkeypatch):
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
+    for fn in (check_rough, rough_set):
+        with pytest.raises(ResourceError):
+            fn(0.5, 1001)
+    assert rough_set(0.5, 1000).M == 1000
 
 
 def test_check_window_raises_like_squarefree_in_interval():
