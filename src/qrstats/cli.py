@@ -15,9 +15,10 @@ only flag combinations, the required --seed and the primality of --p
 and crt moduli are checked here alone.
 
 Exit codes: 0 success; 1 usage error, any violated precondition
-included, found at parse time before anything is computed; 2 resource
-budget, computation or file error (message on standard error, nothing
-on standard output).
+included (the sieve, table and x budgets among them), found at parse
+time before anything is computed; 2 resource budget, computation, file
+or memory error (message on standard error, nothing on standard
+output).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .charsums import (
@@ -63,7 +66,7 @@ from .residue_scan import (
     longest_qr_run,
 )
 from .rng import XorShift64Star
-from .sieve import check_range, check_rough, check_window, is_prime_u64, primes_in, rough_set
+from .sieve import check_range, check_rough, check_squarefree, check_window, is_prime_u64, primes_in, rough_set
 
 WORKERS_ENV = "QRSTATS_WORKERS"
 CHECKPOINT_MAGIC = "qrstats-checkpoint v1"
@@ -362,21 +365,26 @@ def _range_params(ns) -> dict[str, Any]:
     return {"lo": ns.lo, "hi": ns.hi}
 
 
-def _primes(params: dict[str, Any]) -> list[int]:
-    """The primes of a --p or --lo/--hi run, less 2 (no non-residues)."""
+def _primes(params: dict[str, Any]) -> np.ndarray:
+    """The primes of a --p or --lo/--hi run as an array, less 2 (no
+    non-residues).  A range gives int64; a single --p keeps numpy's own
+    dtype for it, so a p past 2**63 still reaches least_nonresidues."""
     if "p" in params:
-        return [params["p"]]
-    return [q for q in primes_in(params["lo"], params["hi"]).tolist() if q != 2]
+        return np.array([params["p"]])
+    primes = primes_in(params["lo"], params["hi"])
+    return primes[primes != 2]
 
 
 def _run_nres(config: RunConfig):
     primes = _primes(config.params)
-    return {"header": ["p", "n_p"], "rows": list(zip(primes, least_nonresidues(primes).tolist()))}, {}
+    rows = list(zip(primes.tolist(), least_nonresidues(primes).tolist()))
+    return {"header": ["p", "n_p"], "rows": rows}, {}
 
 
 def _run_dp(config: RunConfig):
     convention = "zero_as_residue" if config.zero_as_residue else "zero_excluded"
-    rows = [(q, longest_qr_run(q, config.zero_as_residue), convention) for q in _primes(config.params)]
+    primes = _primes(config.params).tolist()
+    rows = [(q, longest_qr_run(q, config.zero_as_residue), convention) for q in primes]
     return {"header": ["p", "d_p", "convention"], "rows": rows}, {}
 
 
@@ -416,7 +424,7 @@ def _run_gaps(config: RunConfig):
         rows = [(p["p"], k, n, d) for k, (n, d) in enumerate(pairs, start=1)]
         return {"header": ["p", "k", "n_k", "delta_k"], "rows": rows}, {}
     h = p["h"] if p["h"] is not None else h_quarter_power
-    summary = gap_tail_scan(_primes(p), h, config.workers)
+    summary = gap_tail_scan(_primes(p).tolist(), h, config.workers)
     extra = {"max_c1": summary.max_c1, "max_c2": summary.max_c2}
     return {"header": ["p", "h", "N_h", "S_h", "c1", "c2"], "rows": summary.rows}, extra
 
@@ -470,7 +478,7 @@ def _run_rough(config: RunConfig):
 
 
 def _sfree_params(ns) -> dict[str, Any]:
-    check_window(ns.u, ns.h)
+    check_squarefree(ns.u, ns.h)
     return {"u": ns.u, "h": ns.h}
 
 
@@ -656,8 +664,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return run(config)
-    except (QRStatsError, OSError) as exc:
-        print(f"qrstats: error: {exc}", file=sys.stderr)
+    except (QRStatsError, OSError, MemoryError) as exc:
+        print(f"qrstats: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

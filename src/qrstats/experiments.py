@@ -136,11 +136,14 @@ def _scan_erdos_block(args: tuple[int, int]) -> tuple[int, int]:
 
 
 def check_erdos(xs: Sequence[int]) -> None:
-    """Preconditions of erdos_mean_curve: at least one x, every x >= 3."""
+    """Preconditions of erdos_mean_curve: at least one x, every x >= 3,
+    and none past ERDOS_X_BUDGET."""
     if not xs:
         raise ParameterError("need at least one x")
     if min(xs) < 3:
         raise ParameterError(f"need x >= 3, got {min(xs)}")
+    if max(xs) > ERDOS_X_BUDGET:
+        raise ResourceError(f"x = {max(xs)} exceeds the budget of {ERDOS_X_BUDGET}")
 
 
 def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
@@ -153,8 +156,6 @@ def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
     """
     points = sorted({int(x) for x in xs})
     check_erdos(points)
-    if points[-1] > ERDOS_X_BUDGET:
-        raise ResourceError(f"x = {points[-1]} exceeds the budget of {ERDOS_X_BUDGET}")
     blocks = _blocks(3, points[-1], edges=points)
     results = _map_blocks(_scan_erdos_block, blocks, workers)
     constant = erdos_constant()

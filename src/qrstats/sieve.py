@@ -5,6 +5,30 @@ All sieves are numpy boolean arrays.  Returned arrays are treated as
 immutable after construction and can be shared freely across processes.
 Memory budgets are enforced up front so a typo in an exponent raises a
 ResourceError instead of thrashing the machine.
+
+The three interval sieves (primes_in, squarefree_in_interval and
+rough_set) share one strike kernel, _strike, which clears every
+multiple m >= floor[i] of each modulus[i] in a mask.  It walks the mask
+one SEGMENT window at a time, so the window stays cache resident and
+its temporaries stay bounded.  Moduli below _STRIDE_LIMIT (2**12, set
+by measurement) clear a strided slice each.  Every larger modulus has
+few multiples in a window, so all of them are listed at once (np.repeat
+of the per-modulus counts, summed into positions) and cleared by one
+scatter, in the manner of the bucket sieve for large sieving primes of
+Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).  The first
+multiple of each large modulus is found afresh for every window, by one
+vector division; carrying it over would touch every modulus per window
+all the same.
+
+The base primes come from one table per process, _base_primes, which
+grows by doubling up to TABLE_BUDGET, is sliced by searchsorted and is
+read-only; fork-pool workers inherit the table their parent built.
+Beside its own mask and result, a sieve holds at most that table (the
+primes up to TABLE_BUDGET, 5.76 million of them, 46 MB; building it
+takes a passing TABLE_BUDGET-byte flag array) plus the temporaries of
+one window: a few int64 arrays over the large moduli and one over their
+multiples in the window.  primes_in hands the kernel one SEGMENT at a
+time, so it holds its output and one window, never the whole span.
 """
 
 from __future__ import annotations
@@ -26,9 +50,15 @@ from .errors import (
 EULER_GAMMA = float(np.euler_gamma)
 
 MAX_ENDPOINT = 2**63 - 1
+"""The largest endpoint an int64 sieve can index.  The limit that binds
+is lower: a sieve up to hi needs base primes up to isqrt(hi) <=
+TABLE_BUDGET, so every endpoint stays below (TABLE_BUDGET + 1)**2, about
+10**16 (see check_range and check_squarefree)."""
 SEGMENT = 1 << 20
 SPAN_BUDGET = 10**9
 TABLE_BUDGET = 10**8
+
+_STRIDE_LIMIT = 1 << 12
 
 _TRIAL_LIMIT = 10**6
 
@@ -50,35 +80,92 @@ def primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+_base_table = (0, np.empty(0, dtype=np.int64))
+
+
+def _base_primes(limit: int) -> np.ndarray:
+    """The primes <= limit, as a read-only slice of one table per process.
+
+    The table is rebuilt only when a request passes its limit, then to
+    at least twice that limit (capped at TABLE_BUDGET), so an ascending
+    run of sieves builds it O(log) times.  Callers check limit <=
+    TABLE_BUDGET first.
+    """
+    global _base_table
+    built, table = _base_table
+    if limit > built:
+        built = min(TABLE_BUDGET, max(limit, 2 * built))
+        table = primes_upto(built)
+        table.flags.writeable = False
+        _base_table = (built, table)
+    return table[: int(np.searchsorted(table, limit, side="right"))]
+
+
+def _strike(mask: np.ndarray, lo: int, moduli: np.ndarray, floors: np.ndarray) -> None:
+    """Clear mask[m - lo] for every multiple m >= floors[i] of moduli[i]
+    with lo <= m < lo + mask.size.  moduli is ascending int64 and floors
+    an int64 array of the same length."""
+    split = int(np.searchsorted(moduli, _STRIDE_LIMIT))
+    small = list(zip(moduli[:split].tolist(), floors[:split].tolist()))
+    large, large_floors = moduli[split:], floors[split:]
+    for offset in range(0, mask.size, SEGMENT):
+        window = mask[offset : offset + SEGMENT]
+        w_lo = lo + offset
+        w_hi = w_lo + window.size - 1
+        for p, floor in small:
+            start = -(-max(floor, w_lo) // p) * p
+            if start <= w_hi:
+                window[start - w_lo :: p] = False
+        first = -(-np.maximum(large_floors, w_lo) // large) * large
+        hit = first <= w_hi
+        step = large[hit]
+        if not step.size:
+            continue
+        first = first[hit] - w_lo
+        count = (window.size - 1 - first) // step + 1
+        # The positions are a running sum of steps: each modulus steps by
+        # itself between its own multiples, and its first step jumps from
+        # the last multiple of the modulus before it to its own first.
+        steps = np.repeat(step, count)
+        last = first + (count - 1) * step
+        steps[(np.cumsum(count) - count)[1:]] = first[1:] - last[:-1]
+        steps[0] = first[0]
+        window[np.cumsum(steps)] = False
+
+
+def _check_budgets(lo: int, hi: int) -> None:
+    """The budgets of sieving [lo, hi]: the endpoint, the span and the
+    base primes up to isqrt(hi), each checked before anything is built."""
+    if hi > MAX_ENDPOINT:
+        raise RangeError(f"endpoint {hi} exceeds the supported range")
+    if hi - lo > SPAN_BUDGET:
+        raise ResourceError(f"span {hi - lo} exceeds the budget of {SPAN_BUDGET}")
+    if math.isqrt(hi) > TABLE_BUDGET:
+        raise ResourceError(
+            f"endpoint {hi} needs a prime table up to {math.isqrt(hi)}, over the budget of {TABLE_BUDGET}"
+        )
+
+
 def check_range(lo: int, hi: int) -> None:
-    """Precondition of primes_in: 2 <= lo <= hi."""
+    """Preconditions of primes_in: 2 <= lo <= hi, hi within MAX_ENDPOINT,
+    hi - lo within SPAN_BUDGET and isqrt(hi) within TABLE_BUDGET."""
     if lo < 2 or hi < lo:
         raise ParameterError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
+    _check_budgets(lo, hi)
 
 
 def primes_in(lo: int, hi: int) -> np.ndarray:
-    """Primes p with lo <= p <= hi, ascending, via a segmented sieve.
-
-    Segments of 2**20 values stay cache resident; base primes run up to
-    the square root of hi.  The span hi - lo is capped at 10**9.
-    """
-    if hi > MAX_ENDPOINT:
-        raise RangeError(f"endpoint {hi} exceeds the supported range")
+    """Primes p with lo <= p <= hi, ascending, via a segmented sieve:
+    each segment of 2**20 values is struck by the base primes p <=
+    isqrt(hi), from p*p on."""
     check_range(lo, hi)
-    if hi - lo > SPAN_BUDGET:
-        raise ResourceError(f"span {hi - lo} exceeds the budget of {SPAN_BUDGET}")
-    base = primes_upto(math.isqrt(hi))
+    base = _base_primes(math.isqrt(hi))
+    squares = base * base
     chunks = []
     for seg_lo in range(lo, hi + 1, SEGMENT):
-        seg_hi = min(seg_lo + SEGMENT - 1, hi)
-        mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base.tolist():
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start <= seg_hi:
-                mask[start - seg_lo :: p] = False
-        if seg_lo < 2:
-            mask[: 2 - seg_lo] = False
-        chunks.append(np.flatnonzero(mask).astype(np.int64) + seg_lo)
+        mask = np.ones(min(SEGMENT, hi - seg_lo + 1), dtype=bool)
+        _strike(mask, seg_lo, base, squares)
+        chunks.append(np.flatnonzero(mask) + seg_lo)
     return np.concatenate(chunks)
 
 
@@ -224,8 +311,8 @@ def rough_set(eta: float, M: int) -> RoughSet:
     cutoff = rough_threshold(eta, M)
     mask = np.ones(M + 1, dtype=bool)
     mask[0] = False
-    for p in primes_upto(min(cutoff, M)).tolist():
-        mask[p::p] = False
+    primes = _base_primes(min(cutoff, M))
+    _strike(mask, 0, primes, primes)
     members = np.flatnonzero(mask).astype(np.int64)
     ratio_c0 = members.size * eta * math.log(M) / M
     return RoughSet(eta, M, cutoff, members, ratio_c0)
@@ -290,24 +377,22 @@ def check_window(u: int, h: int = 1) -> None:
         raise ParameterError(f"need h >= 1, got {h}")
 
 
+def check_squarefree(u: int, h: int) -> None:
+    """Preconditions of squarefree_in_interval: check_window, and the
+    sieved range [u+1, u+h+1] within the endpoint, span and table budgets
+    of check_range."""
+    check_window(u, h)
+    _check_budgets(u + 1, u + h + 1)
+
+
 def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:
     """Sieve the window [u+1, u+h] by squares of primes up to
     sqrt(u+h+1); one extra flag past the window settles the pair count."""
-    check_window(u, h)
-    top = u + h + 1
-    if top > MAX_ENDPOINT:
-        raise RangeError(f"window endpoint {top} exceeds the supported range")
-    if h > SPAN_BUDGET:
-        raise ResourceError(f"window length {h} exceeds the budget of {SPAN_BUDGET}")
-    if math.isqrt(top) > TABLE_BUDGET:
-        raise ResourceError(f"window endpoint {top} needs a prime table over budget")
+    check_squarefree(u, h)
     lo = u + 1
+    squares = _base_primes(math.isqrt(lo + h)) ** 2
     flags = np.ones(h + 1, dtype=bool)
-    for p in primes_upto(math.isqrt(top)).tolist():
-        q = p * p
-        start = ((lo + q - 1) // q) * q
-        if start <= top:
-            flags[start - lo :: q] = False
+    _strike(flags, lo, squares, squares)
     members = np.flatnonzero(flags[:-1]).astype(np.int64) + lo
     pair_count = int(np.count_nonzero(flags[:-1] & flags[1:]))
     return SquarefreeWindow(u, h, members, pair_count)

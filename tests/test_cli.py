@@ -224,6 +224,12 @@ def test_nres_range_skips_two(capsys):
     assert rows == ["3,2", "5,2", "7,3", "11,2", "13,2", "17,3", "19,2"]
 
 
+def test_nres_single_p_past_int64(capsys):
+    # the largest prime below 2**64 has no int64 form; its row still prints
+    code, out, _ = run_cli(capsys, "nres", "--p", "18446744073709551557")
+    assert code == 0 and out.splitlines()[-1] == "18446744073709551557,2"
+
+
 def test_dp_convention_changes_rows(capsys):
     _, out_t, _ = run_cli(capsys, "dp", "--p", "7")
     _, out_f, _ = run_cli(capsys, "dp", "--p", "7", "--zero-as-residue", "false")
@@ -410,16 +416,33 @@ def test_file_errors_exit_2(tmp_path, capsys, extra):
 
 def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "SPAN_BUDGET", 10**4)
+    monkeypatch.setattr(experiments, "ERDOS_X_BUDGET", 10**4)
     monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
+    # isqrt(1002001) = 1001: a base-prime table one past the budget
     for argv in (["exceptional", "--q", "10001", "--u", "0", "--h", "2"],
                  ["exceptional", "--q", "10001", "--u-samples", "2", "--seed", "1", "--h-multiples", "2"],
                  ["trace", "--q", "10001", "--u", "0", "--h", "5", "--eta", "0.3"],
-                 ["rough", "--eta", "0.5", "--M", "1001"]):
+                 ["rough", "--eta", "0.5", "--M", "1001"],
+                 ["nres", "--lo", "1002001", "--hi", "1002100"],
+                 ["dp", "--lo", "1002001", "--hi", "1002100"],
+                 ["gaps", "--lo", "1002001", "--hi", "1002100", "--tail", "--h", "2"],
+                 ["sfree", "--u", "1001990", "--h", "10"],
+                 ["erdos", "--x", "10001"]):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 1
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "") and "budget" in err
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setitem(COMMANDS, "dup", COMMANDS["dup"]._replace(run=exhausted))
+    code, out, err = run_cli(capsys, "dup", "--p", "11", "--u", "2")
+    assert (code, out) == (2, "")
+    assert err == "qrstats: error: MemoryError\n"
 
 
 def test_out_is_replaced_whole(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrstats import sieve
-from qrstats.errors import FactorizationError, ParameterError, ResourceError
+from qrstats.errors import FactorizationError, ParameterError, RangeError, ResourceError
+from qrstats.experiments import exceptional_blocks
 from qrstats.sieve import (
     EULER_GAMMA,
+    SEGMENT,
     check_eta,
     check_range,
     check_rough,
+    check_squarefree,
     check_window,
     coprime_count,
     distinct_prime_factors,
@@ -47,6 +51,42 @@ def test_primes_in_across_segment_boundary():
     got = primes_in(lo, hi).tolist()
     expect = [n for n in range(lo, hi + 1) if is_prime_u64(n)]
     assert got == expect
+
+
+def _primes_by_mr(lo, hi):
+    return [n for n in range(lo, hi + 1) if is_prime_u64(n)]
+
+
+def test_primes_in_across_several_segments():
+    # segments start at lo + k * SEGMENT; the plain sieve is the reference
+    got = primes_in(2, 3 * SEGMENT + 5)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, primes_upto(3 * SEGMENT + 5))
+    lo = 10**9 + 7
+    got = primes_in(lo, lo + 2 * SEGMENT + 100).tolist()
+    for edge in (lo + SEGMENT, lo + 2 * SEGMENT):
+        assert [p for p in got if edge - 200 <= p <= edge + 100] == _primes_by_mr(edge - 200, edge + 100)
+
+
+def test_primes_in_with_lo_among_the_base_primes():
+    assert primes_in(2, 5000).tolist() == trial_primes(5000)
+    assert primes_in(3000, 70000).tolist() == _primes_by_mr(3000, 70000)
+
+
+@pytest.mark.parametrize("p", [4093, 4099])
+def test_primes_in_hi_at_a_base_prime_square(p):
+    # the primes on either side of the strided/scatter threshold
+    assert 4093 < sieve._STRIDE_LIMIT < 4099
+    for hi in (p * p - 1, p * p):
+        assert primes_in(hi - 3000, hi).tolist() == _primes_by_mr(hi - 3000, hi)
+
+
+def test_primes_in_random_windows_near_1e15():
+    rng = random.Random(20260)
+    # highest first, so one base table serves every window
+    for lo in sorted((10**15 - rng.randrange(10**12) for _ in range(4)), reverse=True):
+        width = rng.randrange(1, 3000)
+        assert primes_in(lo, lo + width).tolist() == _primes_by_mr(lo, lo + width)
 
 
 def test_primes_in_counts_against_pi():
@@ -144,6 +184,16 @@ def test_rough_set_always_contains_one():
         assert rough_set(eta, 100).members[0] == 1
 
 
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_rough_set_against_smallest_prime_factors(eta):
+    M = 2 * SEGMENT + 1000
+    rs = rough_set(eta, M)
+    spf = spf_table(M)
+    keep = spf > rs.cutoff
+    keep[1] = True
+    assert np.array_equal(rs.members, np.flatnonzero(keep))
+
+
 def test_mertens_product_exact_small():
     got = mertens_product(10).product
     assert got == pytest.approx(float(Fraction(1, 2) * Fraction(2, 3) * Fraction(4, 5) * Fraction(6, 7)), abs=1e-15)
@@ -187,6 +237,27 @@ def test_squarefree_window_matches_slow_filter(u, h):
     assert w.members.tolist() == expect
     pairs = [n for n in expect if is_squarefree_slow(n + 1)]
     assert w.pair_count == len(pairs)
+
+
+@pytest.mark.parametrize("p", [61, 67, 4093, 4099])
+def test_squarefree_window_at_a_square_on_each_side_of_the_threshold(p):
+    # 61**2 < 2**12 < 67**2 splits the squares; 4093, 4099 the base primes
+    u = p * p - 150
+    w = squarefree_in_interval(u, 300)
+    expect = [n for n in range(u + 1, u + 301) if is_squarefree_slow(n)]
+    assert w.members.tolist() == expect
+    assert w.pair_count == sum(1 for n in expect if is_squarefree_slow(n + 1))
+
+
+def test_squarefree_window_across_kernel_windows():
+    # Q(10**7) = 6079291 square-free integers up to 10**7 (OEIS A071172)
+    w = squarefree_in_interval(0, 10**7)
+    assert w.count == 6079291
+    for edge in (SEGMENT + 1, 2 * SEGMENT + 1, 9 * SEGMENT + 1):
+        near = w.members[(edge - 40 <= w.members) & (w.members < edge + 40)].tolist()
+        assert near == [n for n in range(edge - 40, edge + 40) if is_squarefree_slow(n)]
+    adjacent = int(np.count_nonzero(np.diff(w.members) == 1))
+    assert w.pair_count == adjacent + (w.members[-1] == 10**7 and is_squarefree_slow(10**7 + 1))
 
 
 def test_squarefree_window_validates():
@@ -275,3 +346,58 @@ def test_check_window_raises_like_squarefree_in_interval():
             squarefree_in_interval(u, h)
     check_window(0, 1)
     check_window(0)
+
+
+def test_sieve_budgets_in_check_helpers(monkeypatch):
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
+    monkeypatch.setattr(sieve, "SPAN_BUDGET", 10**4)
+    # isqrt(1002001) = 1001, one past the table budget
+    for check, fn, args in [
+        (check_range, primes_in, (1002001, 1002100)),
+        (check_range, primes_in, (2, 10**4 + 3)),
+        (check_squarefree, squarefree_in_interval, (1001990, 10)),
+        (check_squarefree, squarefree_in_interval, (0, 10**4 + 1)),
+    ]:
+        with pytest.raises(ResourceError):
+            check(*args)
+        with pytest.raises(ResourceError):
+            fn(*args)
+    assert primes_in(1001900, 1002000).tolist() == _primes_by_mr(1001900, 1002000)
+    assert squarefree_in_interval(1001989, 10).h == 10
+    monkeypatch.setattr(sieve, "MAX_ENDPOINT", 10**5)
+    for check, fn, args in [(check_range, primes_in, (10**5 - 5, 10**5 + 1)),
+                            (check_squarefree, squarefree_in_interval, (10**5 - 5, 6))]:
+        with pytest.raises(RangeError):
+            check(*args)
+        with pytest.raises(RangeError):
+            fn(*args)
+
+
+def test_base_table_is_built_o_log_times(monkeypatch):
+    builds = []
+
+    def counting_primes_upto(n):
+        builds.append(n)
+        return primes_upto(n)
+
+    monkeypatch.setattr(sieve, "primes_upto", counting_primes_upto)
+    monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    blocks = exceptional_blocks(10**6)
+    for lo, hi in blocks:
+        primes_in(lo, hi)
+    # isqrt(hi) runs from 1032 to 1414: one build, then one doubling
+    assert len(blocks) == 16 and builds == [1032, 2064]
+    builds.clear()
+    monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    for lo in range(2, 4 * 10**6, 1 << 16):
+        primes_in(lo, lo + (1 << 16) - 1)
+    # 62 ascending blocks, isqrt(hi) from 256 to 2015
+    assert builds == [256, 512, 1024, 2048]
+
+
+def test_base_table_is_read_only():
+    table = sieve._base_primes(1000)
+    assert table.tolist() == trial_primes(1000)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 4
