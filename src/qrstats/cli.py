@@ -11,24 +11,28 @@ output for the same reason.
 Every subcommand is one entry of COMMANDS: its arguments, a params
 builder and a runner.  The builders check preconditions at parse time
 through the library's own check_* helpers, so each rule is written once;
-only flag combinations, the required --seed and the primality of --p
-and crt moduli are checked here alone.
+only flag combinations, the required --seed, the primality of --p and
+crt moduli and the output row budget are checked here alone.
+
+A runner returns its body as columns (render.table), one per header
+name: a numpy array, or a short list for a one-row body.  run renders
+the body in chunks of rows (see render) and writes them as they come.
 
 Exit codes: 0 success; 1 usage error, any violated precondition
-included (the sieve, table and x budgets among them), found at parse
-time before anything is computed; 2 resource budget, computation, file
-or memory error (message on standard error, nothing on standard
-output).
+included (the sieve, table, x and row budgets among them), found at
+parse time before anything is computed; 2 resource budget, computation,
+file or memory error, or any other failure while running (message on
+standard error, nothing on standard output).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .charsums import (
     check_sweep,
     rough_partition,
 )
-from .errors import QRStatsError
+from .errors import QRStatsError, ResourceError
 from .experiments import (
     ExceptionalState,
     check_erdos,
@@ -65,12 +69,16 @@ from .residue_scan import (
     least_nonresidues,
     longest_qr_run,
 )
+from .render import render_csv, render_json, table
 from .rng import XorShift64Star
 from .sieve import check_range, check_rough, check_squarefree, check_window, is_prime_u64, primes_in, rough_set
 
 WORKERS_ENV = "QRSTATS_WORKERS"
 CHECKPOINT_MAGIC = "qrstats-checkpoint v1"
 DEFAULT_CHECKPOINT_EVERY = 16
+ROW_BUDGET = 2**25
+"""The most rows a body may hold, checked at parse time wherever the row
+count has a bound: the int64 columns of 2**25 per-gap rows take 768 MiB."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,8 @@ class _Command(NamedTuple):
     """One subcommand: its help line, a builder that checks the parsed
     namespace and returns the params, a runner that turns a RunConfig into
     (document body, summary), its arguments and its output formats.  A
-    body holds "header" and "rows", unless the command offers JSON only."""
+    body holds "header" and "columns" (see render.table), unless the
+    command offers JSON only."""
 
     help: str
     params: Callable[[argparse.Namespace], dict[str, Any]]
@@ -208,15 +217,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
-# --- rendering -----------------------------------------------------------
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
+# --- output --------------------------------------------------------------
 
 def _meta_params(config: RunConfig) -> dict[str, Any]:
     """The parameter map echoed into output metadata.  Worker count and
@@ -237,22 +238,8 @@ def _meta_params(config: RunConfig) -> dict[str, Any]:
     return out
 
 
-def _render_csv(config: RunConfig, body: dict[str, Any], extra: dict[str, Any]) -> str:
-    lines = [
-        f"# tool: qrstats {__version__}",
-        f"# subcommand: {config.subcommand}",
-        "# params: " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(_meta_params(config).items())),
-        f"# conventions: zero_as_residue={_fmt(config.zero_as_residue)}",
-    ]
-    for key in sorted(extra):
-        lines.append(f"# {key}: {_fmt(extra[key])}")
-    lines.append(",".join(body["header"]))
-    for row in body["rows"]:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(config: RunConfig, body: dict[str, Any], extra: dict[str, Any]) -> str:
+def _meta(config: RunConfig, extra: dict[str, Any]) -> dict[str, Any]:
+    """The document metadata of a run with summary values extra."""
     meta = {
         "tool": "qrstats",
         "version": __version__,
@@ -262,7 +249,7 @@ def _render_json(config: RunConfig, body: dict[str, Any], extra: dict[str, Any])
     }
     if extra:
         meta["summary"] = extra
-    return json.dumps({"meta": meta, **body}, sort_keys=True, indent=1) + "\n"
+    return meta
 
 
 # --- checkpoint files ----------------------------------------------------
@@ -283,22 +270,22 @@ def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState)
         f"total: {state.total}\n"
         f"hits: {hits}\n"
     )
-    _write_atomic(path, body)
+    _write_atomic(path, [body])
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through path + ".tmp" and a rename, so an
-    interrupted write leaves any earlier file at path whole.  A path that
-    exists but is not a regular file (a device or pipe) cannot be renamed
-    over and is written in place."""
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path through path + ".tmp" and a rename,
+    so an interrupted write leaves any earlier file at path whole.  A path
+    that exists but is not a regular file (a device or pipe) cannot be
+    renamed over and is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -362,7 +349,16 @@ def _range_params(ns) -> dict[str, Any]:
     if ns.lo is None or ns.hi is None:
         raise _UsageError("need either --p or both --lo and --hi")
     check_range(ns.lo, ns.hi)
+    # At most 2N/log N primes lie in N consecutive integers (Montgomery
+    # and Vaughan, "The large sieve", Mathematika 20, 1973).
+    span = ns.hi - ns.lo + 1
+    _check_rows(span if span < 8 else int(2 * span / math.log(span)))
     return {"lo": ns.lo, "hi": ns.hi}
+
+
+def _check_rows(rows: int) -> None:
+    if rows > ROW_BUDGET:
+        raise ResourceError(f"up to {rows} output rows exceed the budget of {ROW_BUDGET}")
 
 
 def _primes(params: dict[str, Any]) -> np.ndarray:
@@ -377,15 +373,14 @@ def _primes(params: dict[str, Any]) -> np.ndarray:
 
 def _run_nres(config: RunConfig):
     primes = _primes(config.params)
-    rows = list(zip(primes.tolist(), least_nonresidues(primes).tolist()))
-    return {"header": ["p", "n_p"], "rows": rows}, {}
+    return table(["p", "n_p"], primes, least_nonresidues(primes)), {}
 
 
 def _run_dp(config: RunConfig):
     convention = "zero_as_residue" if config.zero_as_residue else "zero_excluded"
-    primes = _primes(config.params).tolist()
-    rows = [(q, longest_qr_run(q, config.zero_as_residue), convention) for q in primes]
-    return {"header": ["p", "d_p", "convention"], "rows": rows}, {}
+    primes = _primes(config.params)
+    runs = [longest_qr_run(q, config.zero_as_residue) for q in primes.tolist()]
+    return table(["p", "d_p", "convention"], primes, runs, [convention] * len(runs)), {}
 
 
 def _dup_params(ns) -> dict[str, Any]:
@@ -396,7 +391,7 @@ def _dup_params(ns) -> dict[str, Any]:
 
 def _run_dup(config: RunConfig):
     p, u = config.params["p"], config.params["u"]
-    return {"header": ["p", "u", "d_u"], "rows": [(p, u, first_nonresidue_after(p, u))]}, {}
+    return table(["p", "u", "d_u"], [p], [u], [first_nonresidue_after(p, u)]), {}
 
 
 def _gaps_params(ns) -> dict[str, Any]:
@@ -412,6 +407,7 @@ def _gaps_params(ns) -> dict[str, Any]:
             raise _UsageError("per-gap rows need a single --p; ranges need --tail")
         if ns.h is not None or ns.h_rule is not None:
             raise _UsageError("--h/--h-rule apply only with --tail")
+        _check_rows((ns.p - 1) // 2 - 1)
         params["tail"] = False
     return params
 
@@ -420,13 +416,13 @@ def _run_gaps(config: RunConfig):
     p = config.params
     if not p["tail"]:
         stats = gap_stats(p["p"])
-        pairs = zip(stats.n_seq.tolist(), stats.deltas.tolist())
-        rows = [(p["p"], k, n, d) for k, (n, d) in enumerate(pairs, start=1)]
-        return {"header": ["p", "k", "n_k", "delta_k"], "rows": rows}, {}
+        n = stats.deltas.size
+        columns = np.broadcast_to(p["p"], n), np.arange(1, n + 1), stats.n_seq[:n], stats.deltas
+        return table(["p", "k", "n_k", "delta_k"], *columns), {}
     h = p["h"] if p["h"] is not None else h_quarter_power
     summary = gap_tail_scan(_primes(p).tolist(), h, config.workers)
     extra = {"max_c1": summary.max_c1, "max_c2": summary.max_c2}
-    return {"header": ["p", "h", "N_h", "S_h", "c1", "c2"], "rows": summary.rows}, extra
+    return table(["p", "h", "N_h", "S_h", "c1", "c2"], *zip(*summary.rows)), extra
 
 
 def _charsum_params(ns) -> dict[str, Any]:
@@ -450,13 +446,13 @@ def _run_charsum(config: RunConfig):
     if not p["sweep"]:
         rep = burgess_report(p["M"], p["q"], p["nu"])
         extra = {"nu_beyond_classical": True} if rep.nu_beyond_classical else {}
-        return {"header": header, "rows": [(rep.q, rep.M, rep.nu, rep.sum, rep.benchmark, rep.ratio)]}, extra
+        return table(header, *zip((rep.q, rep.M, rep.nu, rep.sum, rep.benchmark, rep.ratio))), extra
     summary = burgess_sweep(p["count"], p["q_lo"], p["q_hi"], p["nu"], config.seed, p["M"])
     rows = [(r.q, r.M, r.nu, r.sum, r.benchmark, r.ratio) for r in summary.reports]
     extra = {"max_ratio": summary.max_ratio, "median_ratio": summary.median_ratio}
     if p["nu"] > 3:
         extra["nu_beyond_classical"] = True
-    return {"header": header, "rows": rows}, extra
+    return table(header, *zip(*rows)), extra
 
 
 def _rough_params(ns) -> dict[str, Any]:
@@ -471,10 +467,10 @@ def _run_rough(config: RunConfig):
     rs = rough_set(p["eta"], p["M"])
     if p["q"] is None:
         row = (p["eta"], p["M"], rs.count, rs.ratio_c0)
-        return {"header": ["eta", "M", "count", "ratio_c0"], "rows": [row]}, {}
+        return table(["eta", "M", "count", "ratio_c0"], *zip(row)), {}
     part = rough_partition(p["eta"], p["M"], p["q"], rough=rs)
     row = (p["eta"], p["M"], p["q"], part.count_plus, part.count_minus, part.count_zero, part.main_term)
-    return {"header": ["eta", "M", "q", "plus", "minus", "zero", "main_term"], "rows": [row]}, {}
+    return table(["eta", "M", "q", "plus", "minus", "zero", "main_term"], *zip(row)), {}
 
 
 def _sfree_params(ns) -> dict[str, Any]:
@@ -485,7 +481,7 @@ def _sfree_params(ns) -> dict[str, Any]:
 def _run_sfree(config: RunConfig):
     res = squarefree_pair_density(config.params["u"], config.params["h"])
     row = (res.u, res.h, res.count, res.pair_count, res.ratio)
-    return {"header": ["u", "h", "count", "pair_count", "ratio"], "rows": [row]}, {}
+    return table(["u", "h", "count", "pair_count", "ratio"], *zip(row)), {}
 
 
 def _erdos_params(ns) -> dict[str, Any]:
@@ -499,7 +495,7 @@ def _run_erdos(config: RunConfig):
         (r.x, r.primes, r.mean, r.constant_partial)
         for r in erdos_mean_curve(config.params["xs"], config.workers)
     ]
-    return {"header": ["x", "primes", "mean", "constant_partial"], "rows": rows}, {}
+    return table(["x", "primes", "mean", "constant_partial"], *zip(*rows)), {}
 
 
 def _exceptional_params(ns) -> dict[str, Any]:
@@ -554,7 +550,7 @@ def _run_exceptional(config: RunConfig):
     )
     rows = [(r.Q, r.u, r.h, r.exceptional, r.total_primes, r.density) for r in results]
     extra = {"u_exceeds_2q": True} if any(r.u_exceeds_2q for r in results) else {}
-    return {"header": ["Q", "u", "h", "exceptional", "total", "density"], "rows": rows}, extra
+    return table(["Q", "u", "h", "exceptional", "total", "density"], *zip(*rows)), extra
 
 
 def _trace_params(ns) -> dict[str, Any]:
@@ -575,7 +571,7 @@ def _crt_params(ns) -> dict[str, Any]:
 
 
 def _run_crt(config: RunConfig):
-    return {"header": ["u"], "rows": [(crt_adversarial_u(config.params["pairs"]),)]}, {}
+    return table(["u"], [crt_adversarial_u(config.params["pairs"])]), {}
 
 
 COMMANDS: dict[str, _Command] = {
@@ -642,18 +638,19 @@ COMMANDS: dict[str, _Command] = {
 def run(config: RunConfig) -> int:
     """Execute a validated config and write its output.
 
-    The document is rendered in full before anything is written, so a
-    failure part way through a computation leaves standard output (or
-    the --out file) untouched; the --out file is replaced whole (see
-    _write_atomic), so a failed write leaves it untouched too.
+    The runner finishes its computation before the first chunk is
+    rendered, so a failure part way through a computation leaves standard
+    output (or the --out file) untouched.  The chunks are written as they
+    are rendered; the --out file is replaced whole (see _write_atomic),
+    so a failed write leaves it untouched too.
     """
     body, extra = COMMANDS[config.subcommand].run(config)
-    render = _render_json if config.output_format == "json" else _render_csv
-    text = render(config, body, extra)
+    render = render_json if config.output_format == "json" else render_csv
+    chunks = render(_meta(config, extra), body)
     if config.output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        _write_atomic(config.output_path, text)
+        _write_atomic(config.output_path, chunks)
     return 0
 
 
@@ -665,8 +662,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(config)
     except (QRStatsError, OSError, MemoryError) as exc:
-        print(f"qrstats: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        message = str(exc) or type(exc).__name__
+    except Exception as exc:  # a fault of this program: still exit 2, not a traceback
+        message = f"{type(exc).__name__}: {exc}"
+    print(f"qrstats: error: {message}", file=sys.stderr)
+    return 2
 
 
 def main_entry() -> None:

@@ -86,18 +86,25 @@ _base_table = (0, np.empty(0, dtype=np.int64))
 def _base_primes(limit: int) -> np.ndarray:
     """The primes <= limit, as a read-only slice of one table per process.
 
-    The table is rebuilt only when a request passes its limit, then to
-    at least twice that limit (capped at TABLE_BUDGET), so an ascending
-    run of sieves builds it O(log) times.  Callers check limit <=
-    TABLE_BUDGET first.
+    The table grows only when a request passes its limit, then to at
+    least twice that limit (capped at TABLE_BUDGET), so an ascending run
+    of sieves grows it O(log) times.  The first build is primes_upto;
+    later ones append primes_in(built + 1, new limit), whose own base
+    primes (up to its square root) may grow the table first.  Callers
+    check limit <= TABLE_BUDGET first.
     """
     global _base_table
     built, table = _base_table
     if limit > built:
-        built = min(TABLE_BUDGET, max(limit, 2 * built))
-        table = primes_upto(built)
+        grown = min(TABLE_BUDGET, max(limit, 2 * built))
+        if built == 0:
+            table = primes_upto(grown)
+        else:
+            more = primes_in(built + 1, grown)
+            built, table = _base_table
+            table = np.concatenate([table, more[more > built]])
         table.flags.writeable = False
-        _base_table = (built, table)
+        _base_table = (grown, table)
     return table[: int(np.searchsorted(table, limit, side="right"))]
 
 

@@ -4,6 +4,7 @@ Everything here computes the slow, obviously correct way, sharing no
 code with the package, so the two sides can honestly disagree.
 """
 
+import json
 from functools import lru_cache
 
 
@@ -75,3 +76,37 @@ def longest_run_brute(p: int, zero_as_residue: bool) -> int:
             length += 1
         best = max(best, length)
     return best
+
+
+# --- reference renderer --------------------------------------------------
+#
+# The CLI's documents, rendered row by row with one type test per cell.
+# meta is the document's metadata (tool, version, subcommand, params,
+# conventions and an optional summary); rows is a list of row tuples.
+
+def fmt_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def render_csv(meta: dict, header: list, rows: list) -> str:
+    lines = [
+        f"# tool: {meta['tool']} {meta['version']}",
+        f"# subcommand: {meta['subcommand']}",
+        "# params: " + " ".join(f"{k}={fmt_cell(v)}" for k, v in sorted(meta["params"].items())),
+        f"# conventions: zero_as_residue={fmt_cell(meta['conventions']['zero_as_residue'])}",
+    ]
+    summary = meta.get("summary", {})
+    for key in sorted(summary):
+        lines.append(f"# {key}: {fmt_cell(summary[key])}")
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(fmt_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(meta: dict, header: list, rows: list) -> str:
+    return json.dumps({"meta": meta, "header": header, "rows": rows}, sort_keys=True, indent=1) + "\n"

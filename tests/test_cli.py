@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrstats
 
-from qrstats import cli, experiments, sieve
+import oracles
+from qrstats import cli, experiments, render, sieve
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
     COMMANDS,
@@ -484,6 +487,136 @@ def test_out_to_a_pipe_is_written_in_place(tmp_path, capsys):
     assert (code, out) == (0, "")
     assert received[0].splitlines()[-1] == "11,2,4"
     assert sorted(os.listdir(tmp_path)) == ["pipe"]
+
+
+def test_row_budget_exits_1_at_parse_time(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ROW_BUDGET", 100)
+    # gaps --p 211 has 104 per-gap rows; [1000, 2000] may hold up to
+    # 2 * 1001 / log 1001 = 289 primes by the Brun-Titchmarsh bound
+    for argv in (["gaps", "--p", "211"],
+                 ["nres", "--lo", "1000", "--hi", "2000"],
+                 ["dp", "--lo", "1000", "--hi", "2000", "--format", "json"],
+                 ["gaps", "--lo", "1000", "--hi", "2000", "--tail", "--h", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and "row" in err and "budget" in err
+    for argv in (["gaps", "--p", "199"], ["nres", "--lo", "1000", "--hi", "1100"], ["nres", "--p", "211"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+
+
+def test_unexpected_error_exits_2(monkeypatch, capsys):
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(COMMANDS, "dup", COMMANDS["dup"]._replace(run=broken))
+    code, out, err = run_cli(capsys, "dup", "--p", "11", "--u", "2")
+    assert (code, out) == (2, "")
+    assert err == "qrstats: error: RuntimeError: boom\n"
+
+
+# --- columnar rendering against the row-by-row reference -----------------
+
+def _rendered(config, body, extra):
+    """(reference text, columnar text) of one body, in config's format."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in body["columns"])))
+    meta = cli._meta(config, extra)
+    if config.output_format == "json":
+        return oracles.render_json(meta, body["header"], rows), "".join(render.render_json(meta, body))
+    return oracles.render_csv(meta, body["header"], rows), "".join(render.render_csv(meta, body))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["nres", "--lo", "2", "--hi", "2"], ["gaps", "--p", "300007"]], ids=["zero-rows", "chunks"])
+def test_columnar_render_equals_reference(capsys, argv, fmt):
+    config = parse_args([*argv, "--format", fmt])
+    body, extra = COMMANDS[config.subcommand].run(config)
+    # no rows, or three chunks of rows
+    assert len(body["columns"][0]) == {"nres": 0, "gaps": 150002}[argv[0]]
+    reference, text = _rendered(config, body, extra)
+    assert text == reference
+    _, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert out == reference
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 1 << 16])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_columnar_render_of_every_value_kind(monkeypatch, fmt, chunk_rows):
+    monkeypatch.setattr(render, "CHUNK_ROWS", chunk_rows)
+    floats = [0.1, 1e16, 1 / 3, -0.0, float("inf")]
+    body = render.table(
+        ["i64", "big", "u64", "f64", "floats", "np_floats", "flags", "np_flags", "convention"],
+        np.array([-(2**63), 2**63 - 1, 0, -1, 7], dtype=np.int64),
+        [2**64 + 1, -(2**70), 3, 10**30, 18446744073709551557],
+        np.array([2**64 - 1, 0, 1, 2**63, 5], dtype=np.uint64),
+        np.array(floats),
+        floats,
+        [np.float64(v) for v in floats],
+        [True, False, True, False, True],
+        np.array([False, True, False, True, False]),
+        ["zero_as_residue"] * 5,
+    )
+    config = RunConfig(subcommand="dp", params={"p": 7, "tail": False, "ratio": 0.1}, output_format=fmt,
+                       zero_as_residue=False)
+    reference, text = _rendered(config, body, {"max_c1": 1 / 3, "flag": True})
+    assert text == reference
+
+
+def test_out_bytes_equal_stdout_bytes(tmp_path, capsys):
+    argv = ["gaps", "--p", "300007", "--format", "json"]
+    _, out, _ = run_cli(capsys, *argv)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "doc.json"))
+    assert code == 0 and (tmp_path / "doc.json").read_bytes() == out.encode()
+    assert out.count("\n  [\n") == 150002 > 2 * render.CHUNK_ROWS
+
+
+def test_out_failing_on_a_later_chunk_is_replaced_whole(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "result.csv"
+    target.write_bytes(b"earlier run\n")
+    writes = []
+
+    class FailingFile(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise OSError("No space left on device")
+            return super().write(text)
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            open(path, mode).close()
+            return FailingFile()
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(render, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, out, err = run_cli(capsys, "gaps", "--p", "31", "--out", str(target))
+    assert (code, out) == (2, "") and "No space left" in err
+    assert len(writes) == 2 and writes[1].count("\n") == 2
+    assert target.read_bytes() == b"earlier run\n"
+    assert sorted(os.listdir(tmp_path)) == ["result.csv"]
+
+
+def test_rendering_holds_a_few_chunks_not_the_document(monkeypatch):
+    # a document of 37 chunks of rows, written to a device in place
+    monkeypatch.setattr(render, "CHUNK_ROWS", 1 << 12)
+    config = parse_args(["gaps", "--p", "300007", "--format", "json"])
+    body, extra = COMMANDS["gaps"].run(config)
+    meta = cli._meta(config, extra)
+    chunks = list(render.render_json(meta, body))
+    size, chunk = sum(map(len, chunks)), len(chunks[1])
+    assert len(chunks) == 38 and size > 30 * chunk
+    del chunks
+    cli._write_atomic(os.devnull, render.render_json(meta, body))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_atomic(os.devnull, render.render_json(meta, body))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk's cells (Python ints) and row strings take about eight
+    # times its text; the whole document would take 38 times and more
+    assert peak - before < 10 * chunk
 
 
 # sha256 of stdout for one small run per subcommand and format.  Output

@@ -380,19 +380,37 @@ def test_base_table_is_built_o_log_times(monkeypatch):
         builds.append(n)
         return primes_upto(n)
 
+    def limits_after(ranges):
+        limits = []
+        for lo, hi in ranges:
+            primes_in(lo, hi)
+            if sieve._base_table[0] not in limits:
+                limits.append(sieve._base_table[0])
+        return limits
+
     monkeypatch.setattr(sieve, "primes_upto", counting_primes_upto)
     monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
     blocks = exceptional_blocks(10**6)
-    for lo, hi in blocks:
-        primes_in(lo, hi)
-    # isqrt(hi) runs from 1032 to 1414: one build, then one doubling
-    assert len(blocks) == 16 and builds == [1032, 2064]
+    # isqrt(hi) runs from 1032 to 1414: one build, then one doubling by
+    # extension, with no second primes_upto
+    assert len(blocks) == 16 and limits_after(blocks) == [1032, 2064]
+    assert builds == [1032]
     builds.clear()
     monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
-    for lo in range(2, 4 * 10**6, 1 << 16):
-        primes_in(lo, lo + (1 << 16) - 1)
     # 62 ascending blocks, isqrt(hi) from 256 to 2015
-    assert builds == [256, 512, 1024, 2048]
+    blocks = [(lo, lo + (1 << 16) - 1) for lo in range(2, 4 * 10**6, 1 << 16)]
+    assert limits_after(blocks) == [256, 512, 1024, 2048]
+    assert builds == [256]
+
+
+def test_base_table_extended_equals_primes_upto(monkeypatch):
+    monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    assert sieve._base_primes(10).tolist() == [2, 3, 5, 7]
+    # the extension's own base primes (up to 1000) grow the table first
+    table = sieve._base_primes(10**6)
+    assert sieve._base_table[0] == 10**6 and not table.flags.writeable
+    assert np.array_equal(table, primes_upto(10**6))
+    assert np.array_equal(sieve._base_primes(2 * 10**6 + 1), primes_upto(2 * 10**6 + 1))
 
 
 def test_base_table_is_read_only():
