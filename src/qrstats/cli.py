@@ -261,7 +261,8 @@ def _checkpoint_key(config: RunConfig) -> str:
 
 
 def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState) -> None:
-    hits = " ".join(f"{p}:{d}" for p, d in state.hits)
+    # one format operation over the flat (p, d) values: "p:d p:d ..."
+    hits = " ".join(["%d:%d"] * len(state.hits)) % tuple(state.hits.ravel().tolist())
     body = (
         f"{CHECKPOINT_MAGIC}\n"
         f"key: {key}\n"
@@ -318,7 +319,7 @@ def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | Non
             for token in raw.split(" "):
                 p_txt, _, d_txt = token.partition(":")
                 hits.append((int(p_txt), int(d_txt)))
-        return ExceptionalState(int(fields["next_block"]), int(fields["total"]), tuple(hits))
+        return ExceptionalState(int(fields["next_block"]), int(fields["total"]), hits)
     except (KeyError, ValueError) as exc:
         raise QRStatsError(f"malformed checkpoint file {path}: {exc!r}") from None
 

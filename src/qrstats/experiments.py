@@ -39,6 +39,7 @@ from .sieve import (
     check_window,
     feller_tornier_A,
     primes_in,
+    primes_upto,
     rough_set,
     rough_threshold,
     squarefree_in_interval,
@@ -104,7 +105,7 @@ def erdos_constant(tail_bound: float = 1e-12) -> float:
     limit = 512
     while True:
         total = 0.0
-        for k, p in enumerate(_prime_list(limit), start=1):
+        for k, p in enumerate(primes_upto(limit).tolist(), start=1):
             total += p / 2.0**k
             if p / 2.0 ** (k - 1) < tail_bound:
                 return total
@@ -117,15 +118,10 @@ def erdos_constant_partial(terms: int) -> float:
         raise ParameterError(f"need terms >= 1, got {terms}")
     limit = 512
     while True:
-        ps = _prime_list(limit)
-        if len(ps) >= terms:
-            return math.fsum(p / 2.0**k for k, p in enumerate(ps[:terms], start=1))
+        ps = primes_upto(limit)
+        if ps.size >= terms:
+            return math.fsum(p / 2.0**k for k, p in enumerate(ps[:terms].tolist(), start=1))
         limit *= 2
-
-
-@lru_cache(maxsize=4)
-def _prime_list(limit: int) -> tuple[int, ...]:
-    return tuple(primes_in(2, limit).tolist())
 
 
 def _scan_erdos_block(args: tuple[int, int]) -> tuple[int, int]:
@@ -202,12 +198,13 @@ class ExceptionalState(NamedTuple):
     """Resumable scan progress: blocks [0, next_block) are merged.
 
     hits holds (p, d) for every prime seen so far with d > min(h grid),
-    where d is first_nonresidue_after capped at max(h grid) + 1.
+    where d is first_nonresidue_after capped at max(h grid) + 1, as an
+    int64 (n, 2) array; a resume state may give any (p, d) array-like.
     """
 
     next_block: int
     total: int
-    hits: tuple[tuple[int, int], ...]
+    hits: np.ndarray
 
 
 def _check_q_range(Q: int) -> None:
@@ -263,22 +260,31 @@ def _scan_exceptional_block(args: tuple[int, int, tuple[int, ...], int, int]) ->
     return primes.size, hits
 
 
-def _check_resume(state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int]) -> None:
-    """A resume state must be one the scan could have reached: hits
-    strictly ascending inside the merged blocks, each d in
-    (min h, max h + 1], and no more hits than primes."""
+def _check_resume(state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int]) -> np.ndarray:
+    """A resume state must be one the scan could have reached: int64
+    (p, d) hits strictly ascending inside the merged blocks, each d in
+    (min h, max h + 1], and a total from the hit count (1 once a block is
+    merged) to the integers merged.  Returns the hits as an (n, 2) array."""
     if not 0 <= state.next_block <= len(blocks):
         raise ParameterError(f"resume block {state.next_block} outside 0..{len(blocks)}")
     top = blocks[state.next_block - 1][1] if state.next_block else blocks[0][0] - 1
-    ps = [p for p, _ in state.hits]
-    if any(a >= b for a, b in zip(ps, ps[1:])):
+    try:
+        hits = np.array(state.hits, dtype=np.int64).reshape(-1, 2)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParameterError(f"resume hits are not int64 (p, d) pairs: {exc}") from None
+    p, d = hits.T
+    if np.any(p[1:] <= p[:-1]):
         raise ParameterError("resume hits are not strictly ascending")
-    if ps and not blocks[0][0] <= ps[0] <= ps[-1] <= top:
+    if p.size and not blocks[0][0] <= p[0] <= p[-1] <= top:
         raise ParameterError(f"resume hits lie outside the merged range [{blocks[0][0]}, {top}]")
-    if any(not hs[0] < d <= hs[-1] + 1 for _, d in state.hits):
+    if np.any((d <= hs[0]) | (d > hs[-1] + 1)):
         raise ParameterError(f"resume hits need d in ({hs[0]}, {hs[-1] + 1}]")
-    if state.total < len(ps):
-        raise ParameterError(f"resume total {state.total} is below its {len(ps)} hits")
+    # block 0 holds a prime: it is all of [Q, 2Q] (Bertrand's postulate)
+    # or 2**16 integers, far more than any prime gap below 2 * SPAN_BUDGET
+    low, high = max(p.size, min(state.next_block, 1)), top - blocks[0][0] + 1
+    if not low <= state.total <= high:
+        raise ParameterError(f"resume total {state.total} is outside [{low}, {high}]")
+    return hits
 
 
 def exceptional_density_sweep(
@@ -311,10 +317,10 @@ def exceptional_density_sweep(
     hs = sorted({int(h) for h in h_list})
     blocks = exceptional_blocks(Q)
     state = resume if resume is not None else ExceptionalState(0, 0, ())
-    _check_resume(state, blocks, hs)
+    resumed = _check_resume(state, blocks, hs)
     total, done = state.total, state.next_block
     # (p, d) rows per u, one int64 array per block
-    hits = [[np.array(state.hits, dtype=np.int64).reshape(-1, 2)] for _ in us]
+    hits = [[resumed] for _ in us]
     argss = [(lo, hi, tuple(us), hs[0], hs[-1]) for lo, hi in blocks[done:]]
     for block_total, block_hits in _map_blocks(_scan_exceptional_block, argss, workers):
         total += block_total
@@ -322,7 +328,8 @@ def exceptional_density_sweep(
             parts.append(new)
         done += 1
         if block_done is not None:
-            block_done(ExceptionalState(done, total, tuple(map(tuple, np.concatenate(hits[0]).tolist()))))
+            hits[0] = [np.concatenate(hits[0])]
+            block_done(ExceptionalState(done, total, hits[0][0]))
     out = []
     for v, parts in zip(us, hits):
         p, d = np.concatenate(parts).T

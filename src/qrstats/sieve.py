@@ -21,14 +21,18 @@ vector division; carrying it over would touch every modulus per window
 all the same.
 
 The base primes come from one table per process, _base_primes, which
-grows by doubling up to TABLE_BUDGET, is sliced by searchsorted and is
-read-only; fork-pool workers inherit the table their parent built.
-Beside its own mask and result, a sieve holds at most that table (the
-primes up to TABLE_BUDGET, 5.76 million of them, 46 MB; building it
-takes a passing TABLE_BUDGET-byte flag array) plus the temporaries of
-one window: a few int64 arrays over the large moduli and one over their
-multiples in the window.  primes_in hands the kernel one SEGMENT at a
-time, so it holds its output and one window, never the whole span.
+starts empty, grows by doubling up to TABLE_BUDGET, is sliced by
+searchsorted and is read-only; fork-pool workers inherit the table their
+parent built.  A growth appends primes_in(old limit + 1, new limit),
+whose own base primes come from the table, so the table bootstraps
+itself; primes_upto is primes_in(2, n), and every list of primes here
+comes out of the one kernel.  Beside its own mask and result, a sieve
+holds at most that table (the primes up to TABLE_BUDGET, 5.76 million of
+them, 46 MB; a growth briefly holds the new primes and a joined copy)
+plus the temporaries of one window: a few int64 arrays over the large
+moduli and one over their multiples in the window.  primes_in hands the
+kernel one SEGMENT at a time, so it holds its output and one window,
+never the whole span.
 """
 
 from __future__ import annotations
@@ -66,18 +70,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n in ascending order, by a plain sieve of
-    Eratosthenes over a numpy boolean array."""
+    """All primes <= n in ascending order: primes_in(2, n), or an empty
+    array for n < 2."""
     if n > TABLE_BUDGET:
         raise ResourceError(f"prime table up to {n} exceeds the budget of {TABLE_BUDGET}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return primes_in(2, n)
 
 
 _base_table = (0, np.empty(0, dtype=np.int64))
@@ -86,23 +85,20 @@ _base_table = (0, np.empty(0, dtype=np.int64))
 def _base_primes(limit: int) -> np.ndarray:
     """The primes <= limit, as a read-only slice of one table per process.
 
-    The table grows only when a request passes its limit, then to at
-    least twice that limit (capped at TABLE_BUDGET), so an ascending run
-    of sieves grows it O(log) times.  The first build is primes_upto;
-    later ones append primes_in(built + 1, new limit), whose own base
-    primes (up to its square root) may grow the table first.  Callers
-    check limit <= TABLE_BUDGET first.
+    The table starts empty and grows only when a request passes its
+    limit, then to at least twice that limit (capped at TABLE_BUDGET), so
+    an ascending run of sieves grows it O(log) times.  A growth appends
+    primes_in(built + 1, new limit), whose base primes come from this
+    table, recursively, log log deep; a limit below 2 ends the recursion
+    with an empty slice.  Callers check limit <= TABLE_BUDGET first.
     """
     global _base_table
     built, table = _base_table
-    if limit > built:
+    if limit > max(built, 1):
         grown = min(TABLE_BUDGET, max(limit, 2 * built))
-        if built == 0:
-            table = primes_upto(grown)
-        else:
-            more = primes_in(built + 1, grown)
-            built, table = _base_table
-            table = np.concatenate([table, more[more > built]])
+        more = primes_in(max(built + 1, 2), grown)
+        built, table = _base_table
+        table = np.concatenate([table, more[more > built]])
         table.flags.writeable = False
         _base_table = (grown, table)
     return table[: int(np.searchsorted(table, limit, side="right"))]
@@ -179,19 +175,18 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
 def spf_table(M: int) -> np.ndarray:
     """Smallest-prime-factor table: out[m] for 2 <= m <= M, out[0:2] = 0.
 
-    Built by the usual masked-view trick: for each prime p the strided
-    view out[p*p::p] gets p written wherever no smaller prime claimed the
-    slot first.
+    Built by the usual masked-view trick: for each prime p <= sqrt(M),
+    ascending, the strided view out[p*p::p] gets p written wherever no
+    smaller prime claimed the slot first.
     """
     if M < 1:
         raise ParameterError(f"need M >= 1, got {M}")
     if M > TABLE_BUDGET:
         raise ResourceError(f"factor table up to {M} exceeds the budget of {TABLE_BUDGET}")
     spf = np.zeros(M + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(M) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
+    for p in _base_primes(math.isqrt(M)).tolist():
+        view = spf[p * p :: p]
+        view[view == 0] = p
     unset = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
     spf[unset] = unset
     return spf
@@ -408,25 +403,21 @@ def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:
 def distinct_prime_factors(q: int) -> list[int]:
     """Distinct primes dividing q, ascending.
 
-    Trial division runs up to 10**6; the remaining cofactor must be 1, a
-    prime, or the square of a prime (certified by deterministic
-    Miller-Rabin), otherwise a FactorizationError is raised.
+    Trial division by the table primes up to 10**6 leaves a cofactor
+    that must be 1, a prime, or the square of a prime (certified by
+    deterministic Miller-Rabin), otherwise a FactorizationError is raised.
     """
     if q < 1:
         raise ParameterError(f"need q >= 1, got {q}")
     out = []
     rem = q
-    if rem % 2 == 0:
-        out.append(2)
-        while rem % 2 == 0:
-            rem //= 2
-    p = 3
-    while p * p <= rem and p <= _TRIAL_LIMIT:
+    for p in _base_primes(min(_TRIAL_LIMIT, math.isqrt(q))).tolist():
+        if p * p > rem:
+            break
         if rem % p == 0:
             out.append(p)
             while rem % p == 0:
                 rem //= p
-        p += 2
     if rem == 1:
         return out
     if is_prime_u64(rem):

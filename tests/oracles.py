@@ -5,7 +5,10 @@ code with the package, so the two sides can honestly disagree.
 """
 
 import json
+import math
 from functools import lru_cache
+
+import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +30,19 @@ def trial_primes(n: int) -> list:
         if all(c % p for p in out if p * p <= c):
             out.append(c)
     return out
+
+
+def eratosthenes(n: int) -> np.ndarray:
+    """All primes <= n as int64, by a plain sieve of Eratosthenes over an
+    (n+1)-byte flag array."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 def factorize(n: int) -> dict:

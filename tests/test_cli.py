@@ -1,10 +1,13 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -770,6 +773,7 @@ def test_checkpoint_garbage_exits_2(tmp_path, capsys):
         ("hits", "hits: 165541:3"),
         ("hits", "hits: 100003:2"),
         ("total", "total: 0"),
+        ("total", "total: 999999999"),
     ],
 )
 def test_checkpoint_malformed_exits_2(tmp_path, capsys, field, bad):
@@ -787,3 +791,70 @@ def test_checkpoint_malformed_exits_2(tmp_path, capsys, field, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("qrstats: error:")
+
+
+_FUZZ_Q = 100000
+_FUZZ_ARGV = ["exceptional", "--q", str(_FUZZ_Q), "--u", "0", "--h", "2"]
+
+
+@functools.cache
+def _real_checkpoint_lines() -> tuple:
+    """The lines of a checkpoint taken after block 0 of 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "real.ckpt")
+        key = _checkpoint_key(parse_args([*_FUZZ_ARGV, "--checkpoint", path]))
+        _write_checkpoint(path, key, len(exceptional_blocks(_FUZZ_Q)), _partial_state(_FUZZ_Q, 0, [2])[0])
+        with open(path) as fh:
+            return tuple(fh.read().splitlines())
+
+
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=20)
+_NUMBERS = st.one_of(st.integers(-3, 3), st.integers(0, 2 * 10**5), st.integers(-(10**25), 10**25)).map(str)
+_HITS = st.lists(
+    st.tuples(st.one_of(st.integers(99990, 200010), st.integers(-(2**70), 2**70)), st.integers(-1, 5)),
+    max_size=6,
+).map(lambda pairs: " ".join(f"{p}:{d}" for p, d in pairs))
+
+
+@st.composite
+def _checkpoint_texts(draw):
+    """Either a real checkpoint with one to three lines dropped or given
+    new values, or arbitrary text, with or without the magic line."""
+    if draw(st.integers(0, 3)) == 0:
+        head = draw(st.sampled_from(["", CHECKPOINT_MAGIC + "\n"]))
+        return head + draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+    lines = list(_real_checkpoint_lines())
+    # the resume state (next_block, total, hits) is drawn three times as
+    # often as the magic, key and blocks lines that guard it
+    picks = [0, 1, 2] + [i for i in range(3, len(lines)) for _ in range(3)]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(picks))
+        name, _, _ = lines[i].partition(": ")
+        if draw(st.integers(0, 3)) == 0:
+            lines[i] = ""
+        elif i == 0:
+            lines[i] = draw(_LINE_TEXT)
+        else:
+            lines[i] = f"{name}: {draw(st.one_of(_HITS if name == 'hits' else _NUMBERS, _LINE_TEXT))}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_checkpoint_texts())
+def test_checkpoint_reader_fuzz_ends_in_a_state_or_exit_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ckpt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*_FUZZ_ARGV, "--checkpoint", path])
+    if code == 0:
+        assert out.getvalue()
+        return
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("qrstats: error:")
+    # main reports a fault of the program as "TYPE: message"; the reader
+    # must refuse every content itself
+    assert not re.match(r"qrstats: error: \w+: ", err.getvalue()), err.getvalue()

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,6 +165,22 @@ def test_exceptional_resume_equals_full_run():
     assert resumed == full
 
 
+def test_block_done_receives_int64_hit_arrays():
+    states = []
+    full = exceptional_density_sweep(10**5, 1, [2, 3], block_done=states.append)
+    assert len(states) == 2
+    for state in states:
+        assert isinstance(state.hits, np.ndarray)
+        assert state.hits.dtype == np.int64 and state.hits.ndim == 2 and state.hits.shape[1] == 2
+    first, last = states[0].hits, states[-1].hits
+    assert 0 < len(first) < len(last) and np.array_equal(last[: len(first)], first)
+    assert last[:, 0].tolist() == [p for p in primes_in(10**5, 2 * 10**5).tolist()
+                                   if first_nonresidue_after(p, 1) > 2]
+    # a resume state may carry its hits as any (p, d) array-like
+    as_tuples = states[0]._replace(hits=tuple(map(tuple, first.tolist())))
+    assert exceptional_density_sweep(10**5, 1, [2, 3], resume=as_tuples) == full
+
+
 def test_exceptional_resume_from_final_state_scans_nothing():
     states = []
     full = exceptional_density_sweep(10**5, 0, [2], block_done=states.append)
@@ -182,6 +199,12 @@ def test_exceptional_validation():
         exceptional_density_sweep(100, 0, [0])
     with pytest.raises(ParameterError):
         exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(99, 0, ()))
+    # totals the scan cannot reach: 0 primes in [100, 200], or more than its 101 integers
+    for total in (0, 102):
+        with pytest.raises(ParameterError):
+            exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(1, total, ()))
+    with pytest.raises(ParameterError):
+        exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(1, 21, [(101, 2**70)]))
     with pytest.raises(ParameterError):
         exceptional_density_sweep(100, [], [1])
     with pytest.raises(ParameterError):

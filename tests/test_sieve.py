@@ -30,13 +30,29 @@ from qrstats.sieve import (
     squarefree_in_interval,
 )
 
-from oracles import factorize, is_squarefree_slow, trial_primes
+from oracles import eratosthenes, factorize, is_squarefree_slow, trial_primes
 
 
 def test_primes_upto_matches_trial_division():
     assert primes_upto(500).tolist() == trial_primes(500)
     assert primes_upto(1).size == 0
     assert primes_upto(2).tolist() == [2]
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 2, 3, 500, 3 * SEGMENT + 5])
+def test_primes_upto_is_a_fresh_copy_of_the_reference(n):
+    got = primes_upto(n)
+    assert got.dtype == np.int64 and got.flags.writeable
+    assert np.array_equal(got, eratosthenes(n))
+    got[:1] = 4
+    assert np.array_equal(primes_upto(n), eratosthenes(n))
+
+
+def test_primes_upto_budget(monkeypatch):
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
+    with pytest.raises(ResourceError):
+        primes_upto(1001)
+    assert np.array_equal(primes_upto(1000), eratosthenes(1000))
 
 
 def test_primes_in_small_ranges():
@@ -61,7 +77,7 @@ def test_primes_in_across_several_segments():
     # segments start at lo + k * SEGMENT; the plain sieve is the reference
     got = primes_in(2, 3 * SEGMENT + 5)
     assert got.dtype == np.int64
-    assert np.array_equal(got, primes_upto(3 * SEGMENT + 5))
+    assert np.array_equal(got, eratosthenes(3 * SEGMENT + 5))
     lo = 10**9 + 7
     got = primes_in(lo, lo + 2 * SEGMENT + 100).tolist()
     for edge in (lo + SEGMENT, lo + 2 * SEGMENT):
@@ -391,26 +407,27 @@ def test_base_table_is_built_o_log_times(monkeypatch):
     monkeypatch.setattr(sieve, "primes_upto", counting_primes_upto)
     monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
     blocks = exceptional_blocks(10**6)
-    # isqrt(hi) runs from 1032 to 1414: one build, then one doubling by
-    # extension, with no second primes_upto
+    # isqrt(hi) runs from 1032 to 1414: one build, then one doubling
     assert len(blocks) == 16 and limits_after(blocks) == [1032, 2064]
-    assert builds == [1032]
-    builds.clear()
     monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
     # 62 ascending blocks, isqrt(hi) from 256 to 2015
     blocks = [(lo, lo + (1 << 16) - 1) for lo in range(2, 4 * 10**6, 1 << 16)]
     assert limits_after(blocks) == [256, 512, 1024, 2048]
-    assert builds == [256]
+    # the table grows by primes_in alone, from empty
+    assert builds == []
 
 
 def test_base_table_extended_equals_primes_upto(monkeypatch):
     monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    for limit in (-1, 0, 1):
+        assert sieve._base_primes(limit).size == 0
+    assert sieve._base_table[0] == 0
     assert sieve._base_primes(10).tolist() == [2, 3, 5, 7]
     # the extension's own base primes (up to 1000) grow the table first
     table = sieve._base_primes(10**6)
     assert sieve._base_table[0] == 10**6 and not table.flags.writeable
-    assert np.array_equal(table, primes_upto(10**6))
-    assert np.array_equal(sieve._base_primes(2 * 10**6 + 1), primes_upto(2 * 10**6 + 1))
+    assert np.array_equal(table, eratosthenes(10**6))
+    assert np.array_equal(sieve._base_primes(2 * 10**6 + 1), eratosthenes(2 * 10**6 + 1))
 
 
 def test_base_table_is_read_only():
