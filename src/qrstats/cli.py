@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, NamedTuple
@@ -79,6 +80,10 @@ DEFAULT_CHECKPOINT_EVERY = 16
 ROW_BUDGET = 2**25
 """The most rows a body may hold, checked at parse time wherever the row
 count has a bound: the int64 columns of 2**25 per-gap rows take 768 MiB."""
+_HITS_LINE = re.compile(r"[^ :]+:[^ :]+(?: [^ :]+:[^ :]+)*")
+_HITS_CHUNK = 1 << 14
+"""Checkpoint hits formatted or parsed in one step; a parse step takes
+16 characters a hit, which is about the length of one."""
 
 
 @dataclass(frozen=True)
@@ -260,18 +265,35 @@ def _checkpoint_key(config: RunConfig) -> str:
     return f"exceptional Q={p['Q']} u={p['u']} h_list={h_part}"
 
 
+class _CheckpointWriter:
+    """Writes the checkpoint file of one scan.  The hits of a scan only
+    grow at the end, so each write formats just the hits added since the
+    last one and keeps the text of the rest."""
+
+    def __init__(self, path: str, key: str, blocks: int) -> None:
+        self.path, self.key, self.blocks = path, key, blocks
+        self.text: list[str] = []
+        self.formatted = 0
+
+    def __call__(self, state: ExceptionalState) -> None:
+        # one format operation per _HITS_CHUNK rows of (p, d): "p:d p:d ..."
+        for start in range(self.formatted, len(state.hits), _HITS_CHUNK):
+            rows = state.hits[start : start + _HITS_CHUNK]
+            self.text.append(" ".join(["%d:%d"] * len(rows)) % tuple(rows.ravel().tolist()))
+        self.formatted = len(state.hits)
+        head = (
+            f"{CHECKPOINT_MAGIC}\n"
+            f"key: {self.key}\n"
+            f"blocks: {self.blocks}\n"
+            f"next_block: {state.next_block}\n"
+            f"total: {state.total}\n"
+            f"hits: "
+        )
+        _write_atomic(self.path, [head, " ".join(self.text), "\n"])
+
+
 def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState) -> None:
-    # one format operation over the flat (p, d) values: "p:d p:d ..."
-    hits = " ".join(["%d:%d"] * len(state.hits)) % tuple(state.hits.ravel().tolist())
-    body = (
-        f"{CHECKPOINT_MAGIC}\n"
-        f"key: {key}\n"
-        f"blocks: {blocks}\n"
-        f"next_block: {state.next_block}\n"
-        f"total: {state.total}\n"
-        f"hits: {hits}\n"
-    )
-    _write_atomic(path, [body])
+    _CheckpointWriter(path, key, blocks)(state)
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -294,6 +316,25 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+def _parse_hits(raw: str) -> np.ndarray:
+    """The "p:d p:d ..." text of a checkpoint as an int64 (n, 2) array.
+    Each value reads as int() reads it; anything else, or a value past
+    int64, raises ValueError or OverflowError.  The text is checked and
+    converted a slice at a time, so only one slice's strings are alive
+    at once."""
+    out = np.empty(2 * (raw.count(" ") + 1) if raw else 0, dtype=np.int64)
+    start = filled = 0
+    while filled < out.size:
+        stop = raw.find(" ", start + 16 * _HITS_CHUNK)
+        piece = raw[start:] if stop < 0 else raw[start:stop]
+        if not _HITS_LINE.fullmatch(piece):
+            raise ValueError("hits are not space-separated p:d pairs")
+        values = np.array(piece.replace(" ", ":").split(":"), dtype=np.int64)
+        out[filled : filled + values.size] = values
+        start, filled = stop + 1, filled + values.size
+    return out.reshape(-1, 2)
+
+
 def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | None:
     if not os.path.exists(path):
         return None
@@ -313,14 +354,9 @@ def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | Non
             raise QRStatsError(f"checkpoint {path} belongs to a different run: {fields.get('key')!r}")
         if int(fields.get("blocks", -1)) != blocks:
             raise QRStatsError(f"checkpoint {path} used a different block partition")
-        hits = []
-        raw = fields.get("hits", "")
-        if raw:
-            for token in raw.split(" "):
-                p_txt, _, d_txt = token.partition(":")
-                hits.append((int(p_txt), int(d_txt)))
+        hits = _parse_hits(fields.get("hits", ""))
         return ExceptionalState(int(fields["next_block"]), int(fields["total"]), hits)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, OverflowError, ValueError) as exc:
         raise QRStatsError(f"malformed checkpoint file {path}: {exc!r}") from None
 
 
@@ -542,9 +578,11 @@ def _run_exceptional(config: RunConfig):
         key, blocks = _checkpoint_key(config), len(exceptional_blocks(Q))
         resume = _read_checkpoint(config.checkpoint_path, key, blocks)
 
+        write = _CheckpointWriter(config.checkpoint_path, key, blocks)
+
         def block_done(state):
             if state.next_block == blocks or state.next_block % config.checkpoint_every == 0:
-                _write_checkpoint(config.checkpoint_path, key, blocks, state)
+                write(state)
 
     results = exceptional_density_sweep(
         Q, u_values, p["h_list"], config.workers, resume=resume, block_done=block_done

@@ -7,13 +7,17 @@ exceptional count.
 
 Concurrency model: a prime range is cut into fixed contiguous blocks of
 2**16 integers.  The block partition depends only on the range, never on
-the worker count.  Each command makes one _map_blocks pass over its
-blocks, so it forks at most one pool: workers compute per-block partials
-and the parent merges them in block order.  An exceptional scan over
-several u sieves each block once and scans every u on it.  Output is
-therefore bit-identical for one worker and for fifty.  All scalar merges
-are plain integer sums, and witness lists concatenate in block order, so
-nothing here depends on scheduling.
+the worker count, and it is the unit of merging and of checkpoints.  A
+task is a run of consecutive blocks, at most 2**20 integers, with at
+least two runs per worker while there are blocks to split: it sieves
+its run once, makes one kernel pass over all of its primes, and splits
+the result back into per-block partials.  Each command makes one
+_map_blocks pass over its runs, so it forks at most one pool, and the
+parent merges the partials block by block.  An exceptional scan over
+several u scans every u on the primes of each run.  Output is therefore
+bit-identical for one worker and for fifty.  All scalar merges are plain
+integer sums, and witness lists concatenate in block order, so nothing
+here depends on scheduling.
 
 This module performs no file or network I/O; the cli module owns
 serialization and checkpoint files.
@@ -46,6 +50,7 @@ from .sieve import (
 )
 
 BLOCK_SPAN = 1 << 16
+RUN_SPAN = 1 << 20
 WITNESS_CAP = 1000
 ERDOS_X_BUDGET = 10**8
 
@@ -66,21 +71,47 @@ def _blocks(lo: int, hi: int, edges: Sequence[int] = ()) -> list[tuple[int, int]
     return out
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError(f"need workers >= 1, got {workers}")
+
+
 def _map_blocks(fn, argss: list, workers: int) -> Iterator:
     """Yield fn(args) for every args tuple, in submission order.
 
-    With workers > 1 a fork pool evaluates blocks concurrently, but
+    With workers > 1 a fork pool evaluates tasks concurrently, but
     results are consumed in submission order (imap), so the caller sees
     exactly the sequence a serial run would produce.
     """
-    if workers < 1:
-        raise ParameterError(f"need workers >= 1, got {workers}")
+    _check_workers(workers)
     if workers > 1 and len(argss) > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
             yield from pool.imap(fn, argss)
     else:
         yield from map(fn, argss)
+
+
+def _map_runs(fn, blocks: list[tuple[int, int]], workers: int, *extra) -> Iterator:
+    """Yield one partial per block, in block order.
+
+    The blocks are grouped into runs of consecutive blocks, at most
+    RUN_SPAN integers each and at least two runs per worker while there
+    are blocks to split; fn((run, *extra)) scans one run and returns the
+    list of its per-block partials.  The grouping changes only how the
+    work is cut, never a partial.
+    """
+    _check_workers(workers)
+    size = max(1, min(RUN_SPAN // BLOCK_SPAN, len(blocks) // (2 * workers)))
+    argss = [(blocks[i : i + size], *extra) for i in range(0, len(blocks), size)]
+    for partials in _map_blocks(fn, argss, workers):
+        yield from partials
+
+
+def _block_ends(values: np.ndarray, run: list[tuple[int, int]]) -> np.ndarray:
+    """For ascending values inside a run of blocks, the index one past the
+    last value of each block."""
+    return np.searchsorted(values, [hi for _, hi in run], side="right")
 
 
 # --- Erdos mean of the least non-residue ---------------------------------
@@ -124,11 +155,14 @@ def erdos_constant_partial(terms: int) -> float:
         limit *= 2
 
 
-def _scan_erdos_block(args: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = args
-    primes = primes_in(lo, hi)
+def _scan_erdos_block(args: tuple[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """(odd prime count, sum of least non-residues) for each block of a run."""
+    (run,) = args
+    primes = primes_in(run[0][0], run[-1][1])
     primes = primes[primes != 2]
-    return primes.size, int(least_nonresidues(primes).sum())
+    ends = _block_ends(primes, run)
+    sums = np.concatenate(([0], np.cumsum(least_nonresidues(primes))))[ends]
+    return list(zip(np.diff(ends, prepend=0).tolist(), np.diff(sums, prepend=0).tolist()))
 
 
 def check_erdos(xs: Sequence[int]) -> None:
@@ -153,7 +187,7 @@ def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
     points = sorted({int(x) for x in xs})
     check_erdos(points)
     blocks = _blocks(3, points[-1], edges=points)
-    results = _map_blocks(_scan_erdos_block, blocks, workers)
+    results = _map_runs(_scan_erdos_block, blocks, workers)
     constant = erdos_constant()
     out = []
     count = 0
@@ -249,15 +283,81 @@ def exceptional_blocks(Q: int) -> list[tuple[int, int]]:
     return _blocks(Q, 2 * Q)
 
 
-def _scan_exceptional_block(args: tuple[int, int, tuple[int, ...], int, int]) -> tuple[int, list]:
-    lo, hi, us, h_min, h_cap = args
-    primes = primes_in(lo, hi)
-    hits = []
+class _Tally(NamedTuple):
+    """What one block adds to the result of one u: per h, the count of
+    primes with d > h; for each h index with witness room left, the
+    first of those primes (ascending) up to the room; and the block's
+    (p, d) hits with d > min h, or None when no caller keeps them."""
+
+    counts: np.ndarray
+    witnesses: dict[int, list[int]]
+    hits: np.ndarray | None
+
+
+def _tally(p: np.ndarray, d: np.ndarray, hs: list[int], room: np.ndarray, keep_hits: bool) -> _Tally:
+    counts = p.size - np.searchsorted(np.sort(d), hs, side="right")
+    open_h = np.flatnonzero((counts > 0) & (room > 0)).tolist()
+    witnesses = {i: p[d > hs[i]][: room[i]].tolist() for i in open_h}
+    hits = np.column_stack((p[d > hs[0]], d[d > hs[0]])) if keep_hits else None
+    return _Tally(counts, witnesses, hits)
+
+
+def _scan_exceptional_block(args) -> list[tuple[int, list[_Tally]]]:
+    """(prime count, [tally per u]) for each block of a run.  Within the
+    run, a block's witness room is what the blocks before it left of
+    witness_cap."""
+    run, us, hs, witness_cap, keep_hits = args
+    primes = primes_in(run[0][0], run[-1][1])
+    ends = _block_ends(primes, run).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    per_u = []
     for u in us:
-        d = first_nonresidues_after(primes, u, h_cap)
-        sel = d > h_min
-        hits.append(np.column_stack((primes[sel], d[sel])))
-    return primes.size, hits
+        d = first_nonresidues_after(primes, u, hs[-1])
+        room = np.full(len(hs), witness_cap)
+        tallies = []
+        for lo, hi in spans:
+            tally = _tally(primes[lo:hi], d[lo:hi], hs, room, keep_hits)
+            for i, found in tally.witnesses.items():
+                room[i] -= len(found)
+            tallies.append(tally)
+        per_u.append(tallies)
+    return [(hi - lo, list(tallies)) for (lo, hi), tallies in zip(spans, zip(*per_u))]
+
+
+class _Totals:
+    """Per-h exceptional counts of one u and the first witness_cap
+    witnesses of each h, merged from tallies in block order."""
+
+    def __init__(self, hs: list[int], witness_cap: int) -> None:
+        self.cap = witness_cap
+        self.counts = np.zeros(len(hs), dtype=np.int64)
+        self.witnesses: list[list[int]] = [[] for _ in hs]
+
+    def add(self, tally: _Tally) -> None:
+        self.counts += tally.counts
+        for i, found in tally.witnesses.items():
+            self.witnesses[i].extend(found[: self.cap - len(self.witnesses[i])])
+
+
+class _HitLog:
+    """Every (p, d) hit of a single-u scan in one int64 buffer that
+    doubles when full.  Each state hands out a view of the first rows,
+    which later blocks never overwrite, so a state costs nothing per hit
+    already held."""
+
+    def __init__(self, hits: np.ndarray) -> None:
+        self.rows = hits
+        self.size = len(hits)
+
+    def extend(self, new: np.ndarray) -> np.ndarray:
+        need = self.size + len(new)
+        if need > len(self.rows):
+            rows = np.empty((max(need, 2 * len(self.rows)), 2), dtype=np.int64)
+            rows[: self.size] = self.rows[: self.size]
+            self.rows = rows
+        self.rows[self.size : need] = new
+        self.size = need
+        return self.rows[:need]
 
 
 def _check_resume(state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int]) -> np.ndarray:
@@ -304,9 +404,11 @@ def exceptional_density_sweep(
     given, duplicates included.  Each block is sieved once for all u, and
     d = first_nonresidue_after(p, u) is evaluated once per prime and u,
     capped just past max(h_list); each requested h counts the primes with
-    d > h.  resume and block_done expose the block progress of a single-u
-    scan so a caller can persist and restart long runs; both speak
-    ExceptionalState and neither changes the result.
+    d > h.  The merge keeps per-h counts and the first witness_cap
+    witnesses, block by block, not the hits themselves.  resume and
+    block_done expose the block progress of a single-u scan so a caller
+    can persist and restart long runs; both speak ExceptionalState, and
+    only with block_done are all hits kept.  Neither changes the result.
     """
     us = list(u) if isinstance(u, Sequence) else [u]
     if not us:
@@ -319,24 +421,22 @@ def exceptional_density_sweep(
     state = resume if resume is not None else ExceptionalState(0, 0, ())
     resumed = _check_resume(state, blocks, hs)
     total, done = state.total, state.next_block
-    # (p, d) rows per u, one int64 array per block
-    hits = [[resumed] for _ in us]
-    argss = [(lo, hi, tuple(us), hs[0], hs[-1]) for lo, hi in blocks[done:]]
-    for block_total, block_hits in _map_blocks(_scan_exceptional_block, argss, workers):
+    totals = [_Totals(hs, witness_cap) for _ in us]
+    totals[0].add(_tally(*resumed.T, hs, np.full(len(hs), witness_cap), False))
+    log = _HitLog(resumed) if block_done is not None else None
+    args = (tuple(us), hs, witness_cap, log is not None)
+    for block_total, tallies in _map_runs(_scan_exceptional_block, blocks[done:], workers, *args):
         total += block_total
-        for parts, new in zip(hits, block_hits):
-            parts.append(new)
+        for merged, tally in zip(totals, tallies):
+            merged.add(tally)
         done += 1
-        if block_done is not None:
-            hits[0] = [np.concatenate(hits[0])]
-            block_done(ExceptionalState(done, total, hits[0][0]))
-    out = []
-    for v, parts in zip(us, hits):
-        p, d = np.concatenate(parts).T
-        for h in hs:
-            w = p[d > h]
-            out.append(ExceptionalDensity(Q, v, h, w.size, total, w.size / total, tuple(w[:witness_cap].tolist()), v > 2 * Q))
-    return out
+        if log is not None:
+            block_done(ExceptionalState(done, total, log.extend(tallies[0].hits)))
+    return [
+        ExceptionalDensity(Q, v, h, count, total, count / total, tuple(witnesses), v > 2 * Q)
+        for v, merged in zip(us, totals)
+        for h, count, witnesses in zip(hs, merged.counts.tolist(), merged.witnesses)
+    ]
 
 
 def exceptional_density(Q: int, u: int, h: int, workers: int = 1) -> ExceptionalDensity:

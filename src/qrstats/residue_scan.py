@@ -13,7 +13,9 @@ classified and runs cannot wrap.
 Every per-prime residue table (residue_map, gap_stats, longest_qr_run
 and the gap-tail scan) comes from one squaring kernel.  It marks
 k*k mod p for 1 <= k <= (p-1)/2 in a bool buffer and lists the unmarked
-classes of 1..p-1, the non-residues, in ascending order.  Its buffers
+classes of 1..p-1, the non-residues, in ascending order; the gap-tail
+scan skips the list and reads its long gaps as long residue runs in the
+marks.  Its buffers
 are kept per process (per thread, strictly) and grow to the next power
 of two, so a scan over ascending primes allocates nothing p-sized once
 warm; squares are taken in chunks of _SQUARE_CHUNK, so a p near
@@ -62,6 +64,7 @@ class _SquareKernel(threading.local):
 
     def __init__(self) -> None:
         self.marks = np.empty(0, dtype=bool)
+        self.spare = np.empty(0, dtype=bool)
         self.nonres = np.empty(0, dtype=np.int64)
         self.steps = np.empty(0, dtype=np.uint64)
         self.k = np.empty(0, dtype=np.uint64)
@@ -98,6 +101,13 @@ class _SquareKernel(threading.local):
             # copied to intp.
             marks[sq.view(np.int64)] = False
         return marks
+
+    def spare_flags(self, p: int) -> np.ndarray:
+        """A view of p bools beside the marks, for work on a copy of them;
+        its contents are undefined."""
+        if self.spare.size < p:
+            self.spare = np.empty(_capacity(p), dtype=bool)
+        return self.spare[:p]
 
     def nonresidues(self, p: int, owned: bool = False) -> np.ndarray:
         """The ascending non-residues of p in [1, p-1]: a view of the
@@ -217,15 +227,50 @@ def gap_tail(stats: GapStats, h: int) -> tuple[int, int]:
     return int(np.count_nonzero(sel)), int(stats.deltas[sel].sum())
 
 
+def _last_true(flags: np.ndarray) -> int:
+    """The index of the last True in flags, which holds one.  A reversed
+    view scans slowly, so only tails of doubling size are reversed."""
+    size = 64
+    while not flags[-size:].any():
+        size *= 2
+    return flags.size - 1 - int(np.argmax(flags[-size:][::-1]))
+
+
 def _gap_tail_of(p: int, h: int) -> tuple[int, int]:
-    """gap_tail(gap_stats(p), h) for the gap-tail scan, computed in the
-    kernel's buffers: the gaps overwrite the non-residues and the marks
-    hold the selection, so nothing p-sized is allocated."""
+    """gap_tail(gap_stats(p), h) for the gap-tail scan, read straight off
+    the kernel's marks without listing the non-residues.
+
+    A gap >= h between consecutive non-residues is a run of >= h-1
+    residues with a non-residue on each side.  The non-residue flags of
+    1..p-1 are widened by log-doubling ORs until flag i says whether the
+    h-1 classes from i+1 on hold a non-residue.  Each maximal run of
+    cleared flags, a run of window starts, is one such residue run, and
+    a run of k starts is a gap of k + h - 1; the runs at either end lie
+    before the first or after the last non-residue and are no gaps.  The
+    ORs alternate between the marks and the kernel's spare flags, so
+    nothing p-sized is allocated.
+    """
     check_tail(h)
-    n = _KERNEL.nonresidues(p)
-    deltas = np.subtract(n[1:], n[:-1], out=n[:-1])
-    sel = np.greater_equal(deltas, h, out=_KERNEL.marks[: deltas.size])
-    return int(np.count_nonzero(sel)), int(np.sum(deltas, where=sel))
+    nonres = _KERNEL.square_marks(p)[1:]
+    n = p - 1
+    if h == 1:
+        return int(np.count_nonzero(nonres)) - 1, _last_true(nonres) - int(np.argmax(nonres))
+    w = h - 1
+    if w >= n:
+        return 0, 0
+    # a[i]: a non-residue lies among classes i+1, ..., i+k, for i <= n - k
+    a, b, k = nonres, _KERNEL.spare_flags(n), 1
+    while k < w:
+        step = min(k, w - k)
+        a, b = np.logical_or(a[: n - k - step + 1], a[step : n - k + 1], out=b[: n - k - step + 1]), a
+        k += step
+    m = n - w + 1
+    a = a[:m]
+    # cleared runs that follow a set flag, less the one that ends at p-1
+    lead, trail = int(np.argmax(a)), m - 1 - _last_true(a)
+    runs = int(np.count_nonzero(np.less(a[1:], a[:-1], out=b[: m - 1]))) - (trail > 0)
+    width = m - int(np.count_nonzero(a)) - lead - trail
+    return runs, width + runs * w
 
 
 def first_nonresidue_after(p: int, u: int) -> int:

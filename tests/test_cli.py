@@ -31,6 +31,7 @@ from qrstats.cli import (
     parse_args,
 )
 from qrstats.experiments import exceptional_blocks, exceptional_density_sweep
+from qrstats.residue_scan import first_nonresidue_after
 from qrstats.rng import XorShift64Star
 from qrstats.sieve import primes_in
 
@@ -361,19 +362,30 @@ def test_repeat_runs_byte_identical(capsys):
 
 
 def test_exceptional_u_samples_sieve_each_block_once(monkeypatch, capsys):
-    sieved = []
+    # A task sieves a run of consecutive blocks once for every u: the
+    # sieve calls tile [Q, 2Q] in order, each call is a union of
+    # consecutive blocks, and the number of calls is the same for one u
+    # as for five.
+    Q = 10**6
+    blocks = exceptional_blocks(Q)
+    calls = {}
+    for samples in ("1", "5"):
+        sieved = calls[samples] = []
 
-    def counting_primes_in(lo, hi):
-        sieved.append((lo, hi))
-        return primes_in(lo, hi)
+        def counting_primes_in(lo, hi, sieved=sieved):
+            sieved.append((lo, hi))
+            return primes_in(lo, hi)
 
-    monkeypatch.setattr(experiments, "primes_in", counting_primes_in)
-    Q = 100000
-    code, _, _ = run_cli(
-        capsys, "exceptional", "--q", str(Q), "--u-samples", "5", "--seed", "1", "--h", "2", "--workers", "1"
-    )
-    assert code == 0
-    assert sieved == exceptional_blocks(Q)
+        monkeypatch.setattr(experiments, "primes_in", counting_primes_in)
+        code, _, _ = run_cli(
+            capsys, "exceptional", "--q", str(Q), "--u-samples", samples, "--seed", "1", "--h", "2", "--workers", "1"
+        )
+        assert code == 0
+        assert [lo for lo, _ in sieved] == [Q] + [hi + 1 for _, hi in sieved[:-1]]
+        assert sieved[-1][1] == 2 * Q
+        starts, ends = {lo for lo, _ in blocks}, {hi for _, hi in blocks}
+        assert all(lo in starts and hi in ends for lo, hi in sieved)
+    assert len(calls["1"]) == len(calls["5"]) < len(blocks)
 
 
 def test_worker_count_byte_identical(capsys):
@@ -725,6 +737,77 @@ def test_checkpoint_resume_matches_full_run(tmp_path, capsys):
     text = ckpt.read_text().splitlines()
     assert text[0] == CHECKPOINT_MAGIC
     assert f"next_block: {blocks}" in text
+
+
+@functools.cache
+def _direct_steps(Q, u):
+    primes = primes_in(Q, 2 * Q)
+    return primes, np.array([first_nonresidue_after(p, u) for p in primes.tolist()])
+
+
+def _direct_checkpoint_texts(Q, u, hs, key, every):
+    """The checkpoint text after each written block, from one direct scan
+    of [Q, 2Q]: written after every `every`-th block and the last."""
+    primes, d = _direct_steps(Q, u)
+    d = np.minimum(d, hs[-1] + 1)
+    blocks = exceptional_blocks(Q)
+    texts = []
+    for done, (_, hi) in enumerate(blocks, start=1):
+        if done % every and done != len(blocks):
+            continue
+        seen = primes <= hi
+        hits = " ".join(f"{p}:{v}" for p, v in zip(primes[seen & (d > hs[0])].tolist(), d[seen & (d > hs[0])].tolist()))
+        texts.append(
+            f"{CHECKPOINT_MAGIC}\nkey: {key}\nblocks: {len(blocks)}\nnext_block: {done}\n"
+            f"total: {int(np.count_nonzero(seen))}\nhits: {hits}\n"
+        )
+    return texts
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoint_bytes_at_every_write_match_a_direct_scan(tmp_path, capsys, monkeypatch, every, workers):
+    # 16 blocks, scanned in runs of 8 or 4: every write still holds
+    # exactly the blocks merged so far
+    Q, u, hs = 10**6, 777, [5, 9]
+    ckpt = tmp_path / "every.ckpt"
+    argv = ["exceptional", "--q", str(Q), "--u", str(u), "--h-list", "5,9", "--checkpoint", str(ckpt)]
+    written = []
+    real_write = cli._write_atomic
+
+    def recording_write(path, chunks):
+        chunks = list(chunks)
+        written.append("".join(chunks))
+        real_write(path, chunks)
+
+    monkeypatch.setattr(cli, "_write_atomic", recording_write)
+    code, out, _ = run_cli(capsys, *argv, "--checkpoint-every", str(every), "--workers", str(workers))
+    assert code == 0
+    monkeypatch.undo()
+    _, bare, _ = run_cli(capsys, *argv[:-2])
+    assert out == bare
+    key = _checkpoint_key(parse_args(argv))
+    want = _direct_checkpoint_texts(Q, u, hs, key, every)
+    assert written == want
+    assert ckpt.read_text() == want[-1]
+
+
+@pytest.mark.parametrize("workers, next_block", [(1, 3), (2, 6)])
+def test_resume_inside_a_run_matches_an_uninterrupted_run(tmp_path, capsys, workers, next_block):
+    # Uninterrupted, the 16 blocks of Q = 10**6 go in runs of 8 (1
+    # worker) or 4 (2 workers); both resume blocks fall inside a run.
+    Q = 10**6
+    base = ["exceptional", "--q", str(Q), "--u", "777", "--h-list", "5,9", "--workers", str(workers)]
+    whole, part = tmp_path / "whole.ckpt", tmp_path / "part.ckpt"
+    _, want, _ = run_cli(capsys, *base, "--checkpoint", str(whole))
+    cfg = parse_args([*base, "--checkpoint", str(part)])
+    blocks = len(exceptional_blocks(Q))
+    _write_checkpoint(str(part), _checkpoint_key(cfg), blocks, _partial_state(Q, 777, [5, 9])[next_block - 1])
+    assert f"next_block: {next_block}" in part.read_text()
+    code, out, _ = run_cli(capsys, *base, "--checkpoint", str(part))
+    assert code == 0
+    assert out == want
+    assert part.read_bytes() == whole.read_bytes()
 
 
 def test_checkpoint_written_during_run(tmp_path, capsys):

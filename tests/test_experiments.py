@@ -10,6 +10,7 @@ from qrstats.arith import is_perfect_square, jacobi
 from qrstats.errors import DegenerateSetError, ParameterError, ResourceError
 from qrstats.experiments import (
     ERDOS_X_BUDGET,
+    ExceptionalDensity,
     ExceptionalState,
     _square_product_pairs,
     check_erdos,
@@ -28,7 +29,7 @@ from qrstats.experiments import (
     proof_trace,
     squarefree_pair_density,
 )
-from qrstats.residue_scan import first_nonresidue_after
+from qrstats.residue_scan import first_nonresidue_after, first_nonresidues_after, least_nonresidues
 from qrstats.sieve import feller_tornier_A, primes_in, rough_set
 
 
@@ -70,6 +71,20 @@ def test_erdos_curve_worker_invariant():
     a = erdos_mean_curve([10**3, 10**4], workers=1)
     b = erdos_mean_curve([10**3, 10**4], workers=3)
     assert [(r.x, r.primes, r.mean) for r in a] == [(r.x, r.primes, r.mean) for r in b]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_erdos_curve_points_inside_runs(workers):
+    # the points cut [3, 700001] into 15 blocks, scanned in runs of 7, 3
+    # or 1 blocks at 1, 2 or 8 workers, so points fall inside runs
+    xs = [65535, 65536, 65537, 100003, 300000, 524288, 700001]
+    primes = primes_in(3, max(xs))
+    sums = np.cumsum(least_nonresidues(primes))
+    want = []
+    for x in xs:
+        k = int(np.searchsorted(primes, x, side="right"))
+        want.append((x, k, int(sums[k - 1]) / k))
+    assert [(r.x, r.primes, r.mean) for r in erdos_mean_curve(xs, workers=workers)] == want
 
 
 def test_erdos_validation():
@@ -151,6 +166,24 @@ def test_exceptional_many_u_equals_single_u_sweeps(workers):
     us = [7, 250001, 7]
     many = exceptional_density_sweep(Q, us, hs, workers=workers)
     assert many == [d for u in us for d in exceptional_density_sweep(Q, u, hs)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_exceptional_runs_equal_one_direct_scan(workers):
+    # 16 blocks in runs of 8, 4 or 1; at u = 0 and h = 20 the first 100
+    # witnesses span seven blocks, so the witness room carries across
+    # blocks inside a run and across runs
+    Q, us, hs, cap = 10**6, [0, 12345, 1999999], [1, 9, 20], 100
+    primes = primes_in(Q, 2 * Q)
+    want = []
+    for u in us:
+        d = first_nonresidues_after(primes, u, hs[-1])
+        for h in hs:
+            w = primes[d > h]
+            want.append(ExceptionalDensity(Q, u, h, w.size, primes.size, w.size / primes.size,
+                                           tuple(w[:cap].tolist()), u > 2 * Q))
+    assert want[2].witness_list[-1] > Q + 6 * experiments.BLOCK_SPAN
+    assert exceptional_density_sweep(Q, us, hs, workers, witness_cap=cap) == want
 
 
 def test_exceptional_resume_equals_full_run():

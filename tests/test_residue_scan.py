@@ -10,6 +10,7 @@ from qrstats.errors import ParameterError, ResourceError, ScanError
 from qrstats.experiments import _scan_gap_chunk
 from qrstats.residue_scan import (
     _KERNEL,
+    _gap_tail_of,
     check_crt,
     check_tail,
     crt_adversarial_u,
@@ -89,6 +90,20 @@ def test_gap_stats_structure(p):
     assert gs.deltas.size == gs.n_seq.size - 1
     assert (gs.deltas >= 1).all()
     assert int(gs.deltas.sum()) == int(gs.n_seq[-1] - gs.n_seq[0])
+
+
+def test_gap_tail_of_matches_gap_tail_below_3000():
+    # p = 1 mod 4 ends its classes in a residue run up to p-1, which is
+    # no gap; p = 3 mod 4 ends in the non-residue p-1
+    classes = set()
+    for p in primes_in(3, 2999).tolist():
+        stats = gap_stats(p)
+        widest = int(stats.deltas.max()) if stats.deltas.size else 0
+        for h in [*range(1, widest + 3), p]:
+            assert _gap_tail_of(p, h) == gap_tail(stats, h), (p, h)
+        classes.add(p % 4)
+    assert classes == {1, 3}
+    assert not np.shares_memory(gap_stats(2999).n_seq, _KERNEL.spare)
 
 
 def test_gap_tail_p11():
