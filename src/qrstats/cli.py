@@ -19,10 +19,10 @@ name: a numpy array, or a short list for a one-row body.  run renders
 the body in chunks of rows (see render) and writes them as they come.
 
 Exit codes: 0 success; 1 usage error, any violated precondition
-included (the sieve, table, x and row budgets among them), found at
-parse time before anything is computed; 2 resource budget, computation,
-file or memory error, or any other failure while running (message on
-standard error, nothing on standard output).
+included (the sieve, table, residue-table, x and row budgets among
+them), found at parse time before anything is computed; 2 resource
+budget, computation, file or memory error, or any other failure while
+running (message on standard error, nothing on standard output).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, NamedTuple
@@ -63,6 +62,7 @@ from .experiments import (
 )
 from .residue_scan import (
     check_crt,
+    check_table,
     check_tail,
     crt_adversarial_u,
     first_nonresidue_after,
@@ -75,15 +75,11 @@ from .rng import XorShift64Star
 from .sieve import check_range, check_rough, check_squarefree, check_window, is_prime_u64, primes_in, rough_set
 
 WORKERS_ENV = "QRSTATS_WORKERS"
-CHECKPOINT_MAGIC = "qrstats-checkpoint v1"
+CHECKPOINT_MAGIC = "qrstats-checkpoint v2"
 DEFAULT_CHECKPOINT_EVERY = 16
 ROW_BUDGET = 2**25
 """The most rows a body may hold, checked at parse time wherever the row
 count has a bound: the int64 columns of 2**25 per-gap rows take 768 MiB."""
-_HITS_LINE = re.compile(r"[^ :]+:[^ :]+(?: [^ :]+:[^ :]+)*")
-_HITS_CHUNK = 1 << 14
-"""Checkpoint hits formatted or parsed in one step; a parse step takes
-16 characters a hit, which is about the length of one."""
 
 
 @dataclass(frozen=True)
@@ -265,35 +261,14 @@ def _checkpoint_key(config: RunConfig) -> str:
     return f"exceptional Q={p['Q']} u={p['u']} h_list={h_part}"
 
 
-class _CheckpointWriter:
-    """Writes the checkpoint file of one scan.  The hits of a scan only
-    grow at the end, so each write formats just the hits added since the
-    last one and keeps the text of the rest."""
-
-    def __init__(self, path: str, key: str, blocks: int) -> None:
-        self.path, self.key, self.blocks = path, key, blocks
-        self.text: list[str] = []
-        self.formatted = 0
-
-    def __call__(self, state: ExceptionalState) -> None:
-        # one format operation per _HITS_CHUNK rows of (p, d): "p:d p:d ..."
-        for start in range(self.formatted, len(state.hits), _HITS_CHUNK):
-            rows = state.hits[start : start + _HITS_CHUNK]
-            self.text.append(" ".join(["%d:%d"] * len(rows)) % tuple(rows.ravel().tolist()))
-        self.formatted = len(state.hits)
-        head = (
-            f"{CHECKPOINT_MAGIC}\n"
-            f"key: {self.key}\n"
-            f"blocks: {self.blocks}\n"
-            f"next_block: {state.next_block}\n"
-            f"total: {state.total}\n"
-            f"hits: "
-        )
-        _write_atomic(self.path, [head, " ".join(self.text), "\n"])
-
-
 def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState) -> None:
-    _CheckpointWriter(path, key, blocks)(state)
+    """The counts space-separated; their witness lists the same, joined by "; "."""
+    counts = " ".join(map(str, state.counts))
+    witnesses = "; ".join(" ".join(map(str, found)) for found in state.witnesses)
+    _write_atomic(path, [
+        f"{CHECKPOINT_MAGIC}\nkey: {key}\nblocks: {blocks}\nnext_block: {state.next_block}\n",
+        f"total: {state.total}\ncounts: {counts}\nwitnesses: {witnesses}\n",
+    ])
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -316,25 +291,6 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _parse_hits(raw: str) -> np.ndarray:
-    """The "p:d p:d ..." text of a checkpoint as an int64 (n, 2) array.
-    Each value reads as int() reads it; anything else, or a value past
-    int64, raises ValueError or OverflowError.  The text is checked and
-    converted a slice at a time, so only one slice's strings are alive
-    at once."""
-    out = np.empty(2 * (raw.count(" ") + 1) if raw else 0, dtype=np.int64)
-    start = filled = 0
-    while filled < out.size:
-        stop = raw.find(" ", start + 16 * _HITS_CHUNK)
-        piece = raw[start:] if stop < 0 else raw[start:stop]
-        if not _HITS_LINE.fullmatch(piece):
-            raise ValueError("hits are not space-separated p:d pairs")
-        values = np.array(piece.replace(" ", ":").split(":"), dtype=np.int64)
-        out[filled : filled + values.size] = values
-        start, filled = stop + 1, filled + values.size
-    return out.reshape(-1, 2)
-
-
 def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | None:
     if not os.path.exists(path):
         return None
@@ -342,7 +298,7 @@ def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | Non
         with open(path) as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0] != CHECKPOINT_MAGIC:
-            raise QRStatsError(f"unrecognized checkpoint file {path}")
+            raise QRStatsError(f"unrecognized checkpoint file {path}: need first line {CHECKPOINT_MAGIC!r}")
         fields = {}
         for line in lines[1:]:
             name, sep, value = line.partition(": ")
@@ -354,8 +310,10 @@ def _read_checkpoint(path: str, key: str, blocks: int) -> ExceptionalState | Non
             raise QRStatsError(f"checkpoint {path} belongs to a different run: {fields.get('key')!r}")
         if int(fields.get("blocks", -1)) != blocks:
             raise QRStatsError(f"checkpoint {path} used a different block partition")
-        hits = _parse_hits(fields.get("hits", ""))
-        return ExceptionalState(int(fields["next_block"]), int(fields["total"]), hits)
+        counts = [int(v) for v in fields["counts"].split()]
+        groups = fields["witnesses"].split(";") if fields["witnesses"].strip() else []
+        witnesses = [[int(v) for v in found.split()] for found in groups]
+        return ExceptionalState(int(fields["next_block"]), int(fields["total"]), counts, witnesses)
     except (KeyError, OverflowError, ValueError) as exc:
         raise QRStatsError(f"malformed checkpoint file {path}: {exc!r}") from None
 
@@ -391,6 +349,14 @@ def _range_params(ns) -> dict[str, Any]:
     span = ns.hi - ns.lo + 1
     _check_rows(span if span < 8 else int(2 * span / math.log(span)))
     return {"lo": ns.lo, "hi": ns.hi}
+
+
+def _table_params(ns) -> dict[str, Any]:
+    """_range_params for runs that build a residue table per prime, each
+    p of which (the largest is --p or at most --hi) must fit its budget."""
+    params = _range_params(ns)
+    check_table(params.get("p", params.get("hi")))
+    return params
 
 
 def _check_rows(rows: int) -> None:
@@ -432,7 +398,7 @@ def _run_dup(config: RunConfig):
 
 
 def _gaps_params(ns) -> dict[str, Any]:
-    params = _range_params(ns)
+    params = _table_params(ns)
     if ns.tail:
         if (ns.h is None) == (ns.h_rule is None):
             raise _UsageError("--tail needs exactly one of --h or --h-rule")
@@ -578,11 +544,9 @@ def _run_exceptional(config: RunConfig):
         key, blocks = _checkpoint_key(config), len(exceptional_blocks(Q))
         resume = _read_checkpoint(config.checkpoint_path, key, blocks)
 
-        write = _CheckpointWriter(config.checkpoint_path, key, blocks)
-
         def block_done(state):
             if state.next_block == blocks or state.next_block % config.checkpoint_every == 0:
-                write(state)
+                _write_checkpoint(config.checkpoint_path, key, blocks, state)
 
     results = exceptional_density_sweep(
         Q, u_values, p["h_list"], config.workers, resume=resume, block_done=block_done
@@ -615,7 +579,7 @@ def _run_crt(config: RunConfig):
 
 COMMANDS: dict[str, _Command] = {
     "nres": _Command("least non-residue n(p)", _range_params, _run_nres, _RANGE_ARGS),
-    "dp": _Command("longest residue run d(p)", _range_params, _run_dp, _RANGE_ARGS),
+    "dp": _Command("longest residue run d(p)", _table_params, _run_dp, _RANGE_ARGS),
     "dup": _Command("first non-residue past u", _dup_params, _run_dup, (
         _arg("--p", type=int, required=True),
         _arg("--u", type=int, required=True),

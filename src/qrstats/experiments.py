@@ -229,16 +229,20 @@ class ExceptionalDensity:
 
 
 class ExceptionalState(NamedTuple):
-    """Resumable scan progress: blocks [0, next_block) are merged.
+    """Resumable scan progress: the merged result of blocks [0, next_block).
 
-    hits holds (p, d) for every prime seen so far with d > min(h grid),
-    where d is first_nonresidue_after capped at max(h grid) + 1, as an
-    int64 (n, 2) array; a resume state may give any (p, d) array-like.
+    total counts the primes seen so far.  counts[i] is the number of them
+    with d > h_i for the i-th h of the sorted grid, and witnesses[i] the
+    first min(counts[i], witness_cap) of those primes, ascending, where d
+    is first_nonresidue_after.  Counts fall as h grows, so only a prefix
+    of the grid has a count; the h past it have none.  A resume state may
+    give any int array-likes.
     """
 
     next_block: int
     total: int
-    hits: np.ndarray
+    counts: tuple[int, ...]
+    witnesses: tuple[tuple[int, ...], ...]
 
 
 def _check_q_range(Q: int) -> None:
@@ -285,28 +289,24 @@ def exceptional_blocks(Q: int) -> list[tuple[int, int]]:
 
 class _Tally(NamedTuple):
     """What one block adds to the result of one u: per h, the count of
-    primes with d > h; for each h index with witness room left, the
-    first of those primes (ascending) up to the room; and the block's
-    (p, d) hits with d > min h, or None when no caller keeps them."""
+    primes with d > h, and for each h index with witness room left, the
+    first of those primes (ascending) up to the room."""
 
     counts: np.ndarray
     witnesses: dict[int, list[int]]
-    hits: np.ndarray | None
 
 
-def _tally(p: np.ndarray, d: np.ndarray, hs: list[int], room: np.ndarray, keep_hits: bool) -> _Tally:
+def _tally(p: np.ndarray, d: np.ndarray, hs: list[int], room: np.ndarray) -> _Tally:
     counts = p.size - np.searchsorted(np.sort(d), hs, side="right")
     open_h = np.flatnonzero((counts > 0) & (room > 0)).tolist()
-    witnesses = {i: p[d > hs[i]][: room[i]].tolist() for i in open_h}
-    hits = np.column_stack((p[d > hs[0]], d[d > hs[0]])) if keep_hits else None
-    return _Tally(counts, witnesses, hits)
+    return _Tally(counts, {i: p[d > hs[i]][: room[i]].tolist() for i in open_h})
 
 
 def _scan_exceptional_block(args) -> list[tuple[int, list[_Tally]]]:
     """(prime count, [tally per u]) for each block of a run.  Within the
     run, a block's witness room is what the blocks before it left of
     witness_cap."""
-    run, us, hs, witness_cap, keep_hits = args
+    run, us, hs, witness_cap = args
     primes = primes_in(run[0][0], run[-1][1])
     ends = _block_ends(primes, run).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -316,7 +316,7 @@ def _scan_exceptional_block(args) -> list[tuple[int, list[_Tally]]]:
         room = np.full(len(hs), witness_cap)
         tallies = []
         for lo, hi in spans:
-            tally = _tally(primes[lo:hi], d[lo:hi], hs, room, keep_hits)
+            tally = _tally(primes[lo:hi], d[lo:hi], hs, room)
             for i, found in tally.witnesses.items():
                 room[i] -= len(found)
             tallies.append(tally)
@@ -326,65 +326,59 @@ def _scan_exceptional_block(args) -> list[tuple[int, list[_Tally]]]:
 
 class _Totals:
     """Per-h exceptional counts of one u and the first witness_cap
-    witnesses of each h, merged from tallies in block order."""
+    witnesses of each h, merged from tallies in block order, starting
+    from the counts and witness lists of a resume state."""
 
-    def __init__(self, hs: list[int], witness_cap: int) -> None:
+    def __init__(self, hs: list[int], witness_cap: int, counts=(), witnesses=()) -> None:
         self.cap = witness_cap
         self.counts = np.zeros(len(hs), dtype=np.int64)
-        self.witnesses: list[list[int]] = [[] for _ in hs]
+        self.counts[: len(counts)] = counts
+        self.witnesses = [list(found) for found in witnesses] + [[] for _ in hs[len(witnesses) :]]
 
     def add(self, tally: _Tally) -> None:
         self.counts += tally.counts
         for i, found in tally.witnesses.items():
             self.witnesses[i].extend(found[: self.cap - len(self.witnesses[i])])
 
-
-class _HitLog:
-    """Every (p, d) hit of a single-u scan in one int64 buffer that
-    doubles when full.  Each state hands out a view of the first rows,
-    which later blocks never overwrite, so a state costs nothing per hit
-    already held."""
-
-    def __init__(self, hits: np.ndarray) -> None:
-        self.rows = hits
-        self.size = len(hits)
-
-    def extend(self, new: np.ndarray) -> np.ndarray:
-        need = self.size + len(new)
-        if need > len(self.rows):
-            rows = np.empty((max(need, 2 * len(self.rows)), 2), dtype=np.int64)
-            rows[: self.size] = self.rows[: self.size]
-            self.rows = rows
-        self.rows[self.size : need] = new
-        self.size = need
-        return self.rows[:need]
+    def state(self, next_block: int, total: int) -> ExceptionalState:
+        n = int(np.count_nonzero(self.counts))
+        return ExceptionalState(
+            next_block, total, tuple(self.counts[:n].tolist()), tuple(map(tuple, self.witnesses[:n]))
+        )
 
 
-def _check_resume(state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int]) -> np.ndarray:
+def _check_resume(
+    state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int], witness_cap: int
+) -> tuple[np.ndarray, list[list[int]]]:
     """A resume state must be one the scan could have reached: int64
-    (p, d) hits strictly ascending inside the merged blocks, each d in
-    (min h, max h + 1], and a total from the hit count (1 once a block is
-    merged) to the integers merged.  Returns the hits as an (n, 2) array."""
+    values; positive, falling counts, at most one per h; a total from
+    counts[0] (1 once a block is merged) to the integers merged; and for
+    each count its min(count, witness_cap) witnesses, strictly ascending
+    inside the merged blocks.  Returns the counts and witness lists."""
     if not 0 <= state.next_block <= len(blocks):
         raise ParameterError(f"resume block {state.next_block} outside 0..{len(blocks)}")
-    top = blocks[state.next_block - 1][1] if state.next_block else blocks[0][0] - 1
+    first = blocks[0][0]
+    top = blocks[state.next_block - 1][1] if state.next_block else first - 1
     try:
-        hits = np.array(state.hits, dtype=np.int64).reshape(-1, 2)
+        counts = np.array(state.counts, dtype=np.int64).reshape(-1)
+        groups = [np.array(found, dtype=np.int64).reshape(-1) for found in state.witnesses]
     except (OverflowError, TypeError, ValueError) as exc:
-        raise ParameterError(f"resume hits are not int64 (p, d) pairs: {exc}") from None
-    p, d = hits.T
-    if np.any(p[1:] <= p[:-1]):
-        raise ParameterError("resume hits are not strictly ascending")
-    if p.size and not blocks[0][0] <= p[0] <= p[-1] <= top:
-        raise ParameterError(f"resume hits lie outside the merged range [{blocks[0][0]}, {top}]")
-    if np.any((d <= hs[0]) | (d > hs[-1] + 1)):
-        raise ParameterError(f"resume hits need d in ({hs[0]}, {hs[-1] + 1}]")
+        raise ParameterError(f"resume counts and witnesses are not int64 lists: {exc}") from None
+    if counts.size > len(hs):
+        raise ParameterError(f"resume has {counts.size} counts for {len(hs)} values of h")
+    if np.any(counts <= 0) or np.any(counts[1:] > counts[:-1]):
+        raise ParameterError("resume counts are not positive and falling")
     # block 0 holds a prime: it is all of [Q, 2Q] (Bertrand's postulate)
     # or 2**16 integers, far more than any prime gap below 2 * SPAN_BUDGET
-    low, high = max(p.size, min(state.next_block, 1)), top - blocks[0][0] + 1
-    if not low <= state.total <= high:
-        raise ParameterError(f"resume total {state.total} is outside [{low}, {high}]")
-    return hits
+    low = max(int(counts[0]) if counts.size else 0, min(state.next_block, 1))
+    if not low <= state.total <= top - first + 1:
+        raise ParameterError(f"resume total {state.total} is outside [{low}, {top - first + 1}]")
+    if [found.size for found in groups] != np.minimum(counts, witness_cap).tolist():
+        raise ParameterError(f"resume needs min(count, {witness_cap}) witnesses for each count")
+    for found in groups:
+        if np.any(found[1:] <= found[:-1]) or (found.size and not first <= found[0] <= found[-1] <= top):
+            raise ParameterError(f"resume witnesses are not strictly ascending inside [{first}, {top}]")
+    return counts, [found.tolist() for found in groups]
 
 
 def exceptional_density_sweep(
@@ -407,8 +401,9 @@ def exceptional_density_sweep(
     d > h.  The merge keeps per-h counts and the first witness_cap
     witnesses, block by block, not the hits themselves.  resume and
     block_done expose the block progress of a single-u scan so a caller
-    can persist and restart long runs; both speak ExceptionalState, and
-    only with block_done are all hits kept.  Neither changes the result.
+    can persist and restart long runs: both speak ExceptionalState, the
+    merged result of the blocks done so far, and neither changes the
+    result.
     """
     us = list(u) if isinstance(u, Sequence) else [u]
     if not us:
@@ -418,20 +413,18 @@ def exceptional_density_sweep(
         raise ParameterError("resume and block_done need a single u")
     hs = sorted({int(h) for h in h_list})
     blocks = exceptional_blocks(Q)
-    state = resume if resume is not None else ExceptionalState(0, 0, ())
-    resumed = _check_resume(state, blocks, hs)
+    state = resume if resume is not None else ExceptionalState(0, 0, (), ())
+    resumed = _check_resume(state, blocks, hs, witness_cap)
     total, done = state.total, state.next_block
-    totals = [_Totals(hs, witness_cap) for _ in us]
-    totals[0].add(_tally(*resumed.T, hs, np.full(len(hs), witness_cap), False))
-    log = _HitLog(resumed) if block_done is not None else None
-    args = (tuple(us), hs, witness_cap, log is not None)
+    totals = [_Totals(hs, witness_cap, *resumed)] + [_Totals(hs, witness_cap) for _ in us[1:]]
+    args = (tuple(us), hs, witness_cap)
     for block_total, tallies in _map_runs(_scan_exceptional_block, blocks[done:], workers, *args):
         total += block_total
         for merged, tally in zip(totals, tallies):
             merged.add(tally)
         done += 1
-        if log is not None:
-            block_done(ExceptionalState(done, total, log.extend(tallies[0].hits)))
+        if block_done is not None:
+            block_done(totals[0].state(done, total))
     return [
         ExceptionalDensity(Q, v, h, count, total, count / total, tuple(witnesses), v > 2 * Q)
         for v, merged in zip(us, totals)

@@ -47,6 +47,13 @@ def _check_p(p: int) -> None:
         raise ParameterError(f"need an odd p >= 3, got {p}")
 
 
+def check_table(p: int) -> None:
+    """A residue table for p, or for any prime up to p, must fit
+    RESIDUE_TABLE_BUDGET."""
+    if p > RESIDUE_TABLE_BUDGET:
+        raise ResourceError(f"residue table for p up to {p} exceeds the budget of {RESIDUE_TABLE_BUDGET}")
+
+
 def _capacity(n: int) -> int:
     """The least power of two >= n, so an ascending scan regrows a buffer
     only when p doubles."""
@@ -74,8 +81,7 @@ class _SquareKernel(threading.local):
         """A view of p bools, False exactly at the classes k*k mod p for
         1 <= k <= (p-1)/2."""
         _check_p(p)
-        if p > RESIDUE_TABLE_BUDGET:
-            raise ResourceError(f"residue table for p={p} exceeds the budget of {RESIDUE_TABLE_BUDGET}")
+        check_table(p)
         if self.marks.size < p:
             self.marks = np.empty(_capacity(p), dtype=bool)
         half = (p - 1) // 2

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import qrstats
 
 import oracles
-from qrstats import cli, experiments, render, sieve
+from qrstats import cli, experiments, render, residue_scan, sieve
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
     COMMANDS,
@@ -436,7 +436,9 @@ def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "SPAN_BUDGET", 10**4)
     monkeypatch.setattr(experiments, "ERDOS_X_BUDGET", 10**4)
     monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
-    # isqrt(1002001) = 1001: a base-prime table one past the budget
+    monkeypatch.setattr(residue_scan, "RESIDUE_TABLE_BUDGET", 10**5)
+    # isqrt(1002001) = 1001: a base-prime table one past the budget;
+    # 100003 and every prime up to 100200 need residue tables past 10**5
     for argv in (["exceptional", "--q", "10001", "--u", "0", "--h", "2"],
                  ["exceptional", "--q", "10001", "--u-samples", "2", "--seed", "1", "--h-multiples", "2"],
                  ["trace", "--q", "10001", "--u", "0", "--h", "5", "--eta", "0.3"],
@@ -445,12 +447,27 @@ def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
                  ["dp", "--lo", "1002001", "--hi", "1002100"],
                  ["gaps", "--lo", "1002001", "--hi", "1002100", "--tail", "--h", "2"],
                  ["sfree", "--u", "1001990", "--h", "10"],
-                 ["erdos", "--x", "10001"]):
+                 ["erdos", "--x", "10001"],
+                 ["dp", "--p", "100003"],
+                 ["gaps", "--p", "100003", "--tail", "--h", "3"],
+                 ["dp", "--lo", "100100", "--hi", "100200"],
+                 ["gaps", "--lo", "100100", "--hi", "100200", "--tail", "--h", "5"]):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 1
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "") and "budget" in err
+    # nres builds no residue table
+    assert parse_args(["nres", "--p", "100003"]).params == {"p": 100003}
+    monkeypatch.undo()
+    # the same refusals at the real budget of 2**31, before anything is allocated
+    for argv in (["dp", "--p", "4294967311"],
+                 ["gaps", "--p", "4294967311", "--tail", "--h", "3"],
+                 ["dp", "--lo", "3000000000", "--hi", "3000000100"],
+                 ["gaps", "--lo", "3000000000", "--hi", "3000000100", "--tail", "--h", "5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and "residue table" in err and "budget" in err
+    assert parse_args(["nres", "--p", "4294967311"]).params == {"p": 4294967311}
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):
@@ -749,17 +766,18 @@ def _direct_checkpoint_texts(Q, u, hs, key, every):
     """The checkpoint text after each written block, from one direct scan
     of [Q, 2Q]: written after every `every`-th block and the last."""
     primes, d = _direct_steps(Q, u)
-    d = np.minimum(d, hs[-1] + 1)
     blocks = exceptional_blocks(Q)
     texts = []
     for done, (_, hi) in enumerate(blocks, start=1):
         if done % every and done != len(blocks):
             continue
         seen = primes <= hi
-        hits = " ".join(f"{p}:{v}" for p, v in zip(primes[seen & (d > hs[0])].tolist(), d[seen & (d > hs[0])].tolist()))
+        found = [w for w in (primes[seen & (d > h)] for h in hs) if w.size]
+        counts = " ".join(str(w.size) for w in found)
+        witnesses = "; ".join(" ".join(map(str, w[: experiments.WITNESS_CAP].tolist())) for w in found)
         texts.append(
             f"{CHECKPOINT_MAGIC}\nkey: {key}\nblocks: {len(blocks)}\nnext_block: {done}\n"
-            f"total: {int(np.count_nonzero(seen))}\nhits: {hits}\n"
+            f"total: {int(np.count_nonzero(seen))}\ncounts: {counts}\nwitnesses: {witnesses}\n"
         )
     return texts
 
@@ -843,30 +861,51 @@ def test_checkpoint_garbage_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+def _with_witness(state, i, w):
+    """state with its first witness list's i-th witness set to w."""
+    first = list(state.witnesses[0])
+    first[i] = w
+    return state._replace(witnesses=(tuple(first), *state.witnesses[1:]))
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [
-        ("hits", "hits: 7:x"),
+        ("counts", "counts: 7 x"),
+        ("witnesses", "witnesses: 100049 x"),
         ("next_block", None),
         ("blocks", "blocks: zz"),
-        # resume states the scan could not have reached: block 0 is
-        # [100000, 165535] and h = 2 makes every d equal 3
-        ("hits", "hits: 100019:3 100003:3"),
-        ("hits", "hits: 99991:3"),
-        ("hits", "hits: 165541:3"),
-        ("hits", "hits: 100003:2"),
+        # resume states the scan could not have reached, each written from
+        # the real state after block 0, [100000, 165535], at h = 2 and 3:
+        # counts (2759, 1362), each with 1000 witnesses from 100049
+        ("counts", lambda s: s._replace(counts=(2**63, s.counts[1]))),
+        ("counts", lambda s: s._replace(counts=s.counts[::-1])),
+        ("counts", lambda s: s._replace(counts=(s.counts[0], 0), witnesses=s.witnesses[:1] + ((),))),
+        ("counts", lambda s: s._replace(counts=(*s.counts, 1), witnesses=(*s.witnesses, (100049,)))),
+        ("witnesses", lambda s: s._replace(witnesses=s.witnesses[:1])),
+        ("witnesses", lambda s: s._replace(witnesses=(s.witnesses[0][:-1], s.witnesses[1]))),
+        ("witnesses", lambda s: _with_witness(s, 0, 99991)),
+        ("witnesses", lambda s: _with_witness(s, -1, 165541)),
+        ("witnesses", lambda s: s._replace(witnesses=(s.witnesses[0][::-1], s.witnesses[1]))),
+        ("total", lambda s: s._replace(total=s.counts[0] - 1)),
         ("total", "total: 0"),
         ("total", "total: 999999999"),
     ],
+    ids=["counts-not-int", "witness-not-int", "no-next-block", "blocks-not-int",
+         "count-past-int64", "counts-rising", "count-zero", "more-counts-than-h",
+         "witness-list-missing", "witness-short", "witness-below-q", "witness-past-merged",
+         "witnesses-unsorted", "total-below-count", "total-zero", "total-past-merged"],
 )
 def test_checkpoint_malformed_exits_2(tmp_path, capsys, field, bad):
     Q = 100000
     ckpt = tmp_path / "malformed.ckpt"
-    base = ["exceptional", "--q", str(Q), "--u", "0", "--h", "2", "--checkpoint", str(ckpt)]
+    base = ["exceptional", "--q", str(Q), "--u", "0", "--h-list", "2,3", "--checkpoint", str(ckpt)]
     key = _checkpoint_key(parse_args(base))
-    _write_checkpoint(str(ckpt), key, len(exceptional_blocks(Q)), _partial_state(Q, 0, [2])[0])
+    state = _partial_state(Q, 0, [2, 3])[0]
+    assert state.counts == (2759, 1362) and {len(w) for w in state.witnesses} == {1000}
+    _write_checkpoint(str(ckpt), key, len(exceptional_blocks(Q)), bad(state) if callable(bad) else state)
     lines = [
-        line if not line.startswith(field + ":") else bad
+        bad if line.startswith(field + ":") and not callable(bad) else line
         for line in ckpt.read_text().splitlines()
     ]
     ckpt.write_text("\n".join(line for line in lines if line is not None) + "\n")
@@ -874,6 +913,29 @@ def test_checkpoint_malformed_exits_2(tmp_path, capsys, field, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("qrstats: error:")
+
+
+def test_v1_checkpoint_exits_2_naming_the_v2_line(tmp_path, capsys):
+    # a v1 file holds every (p, d) hit; nothing reads it any more
+    Q, ckpt = 100000, tmp_path / "v1.ckpt"
+    base = ["exceptional", "--q", str(Q), "--u", "0", "--h", "2", "--checkpoint", str(ckpt)]
+    primes, d = _direct_steps(Q, 0)
+    seen = primes <= exceptional_blocks(Q)[0][1]
+    hits = " ".join(f"{p}:3" for p in primes[seen & (d > 2)].tolist())
+    ckpt.write_text(f"qrstats-checkpoint v1\nkey: {_checkpoint_key(parse_args(base))}\nblocks: 2\n"
+                    f"next_block: 1\ntotal: {int(np.count_nonzero(seen))}\nhits: {hits}\n")
+    code, out, err = run_cli(capsys, *base)
+    assert (code, out) == (2, "")
+    assert "qrstats-checkpoint v2" in err
+
+
+def test_checkpoint_size_follows_the_result_not_the_hits(tmp_path, capsys):
+    # u + 1 = 1 is a residue of every prime, so all 70,435 primes are hits
+    ckpt = tmp_path / "all.ckpt"
+    code, _, _ = run_cli(capsys, "exceptional", "--q", "1000000", "--u", "0", "--h", "1", "--checkpoint", str(ckpt))
+    assert code == 0
+    assert "total: 70435\ncounts: 70435\n" in ckpt.read_text()
+    assert ckpt.stat().st_size < 16 * 1024
 
 
 _FUZZ_Q = 100000
@@ -893,10 +955,12 @@ def _real_checkpoint_lines() -> tuple:
 
 _LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=20)
 _NUMBERS = st.one_of(st.integers(-3, 3), st.integers(0, 2 * 10**5), st.integers(-(10**25), 10**25)).map(str)
-_HITS = st.lists(
-    st.tuples(st.one_of(st.integers(99990, 200010), st.integers(-(2**70), 2**70)), st.integers(-1, 5)),
-    max_size=6,
-).map(lambda pairs: " ".join(f"{p}:{d}" for p, d in pairs))
+# counts and witnesses near the real ones, negative, or past int64
+_VALUES = st.one_of(st.integers(-3, 3000), st.integers(99990, 200010), st.integers(-(2**70), 2**70))
+_VALUE_LISTS = st.lists(_VALUES, max_size=6).flatmap(lambda vs: st.sampled_from([vs, sorted(vs)]))
+_COUNTS = _VALUE_LISTS.map(lambda vs: " ".join(map(str, vs)))
+_WITNESSES = st.lists(_VALUE_LISTS, max_size=3).map(lambda groups: "; ".join(" ".join(map(str, g)) for g in groups))
+_STATE_LINES = {"counts": _COUNTS, "witnesses": _WITNESSES}
 
 
 @st.composite
@@ -907,8 +971,8 @@ def _checkpoint_texts(draw):
         head = draw(st.sampled_from(["", CHECKPOINT_MAGIC + "\n"]))
         return head + draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
     lines = list(_real_checkpoint_lines())
-    # the resume state (next_block, total, hits) is drawn three times as
-    # often as the magic, key and blocks lines that guard it
+    # the resume state (next_block, total, counts, witnesses) is drawn
+    # three times as often as the magic, key and blocks lines that guard it
     picks = [0, 1, 2] + [i for i in range(3, len(lines)) for _ in range(3)]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.sampled_from(picks))
@@ -918,7 +982,7 @@ def _checkpoint_texts(draw):
         elif i == 0:
             lines[i] = draw(_LINE_TEXT)
         else:
-            lines[i] = f"{name}: {draw(st.one_of(_HITS if name == 'hits' else _NUMBERS, _LINE_TEXT))}"
+            lines[i] = f"{name}: {draw(st.one_of(_STATE_LINES.get(name, _NUMBERS), _LINE_TEXT))}"
     return "\n".join(lines) + "\n"
 
 

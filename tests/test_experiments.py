@@ -10,6 +10,7 @@ from qrstats.arith import is_perfect_square, jacobi
 from qrstats.errors import DegenerateSetError, ParameterError, ResourceError
 from qrstats.experiments import (
     ERDOS_X_BUDGET,
+    WITNESS_CAP,
     ExceptionalDensity,
     ExceptionalState,
     _square_product_pairs,
@@ -198,20 +199,25 @@ def test_exceptional_resume_equals_full_run():
     assert resumed == full
 
 
-def test_block_done_receives_int64_hit_arrays():
+def test_block_done_states_equal_a_direct_scan_of_the_merged_blocks():
+    # at u = 1 the windows of h = 2 and 3 differ by 4, a square, so their
+    # counts are equal; h = 40 has no hit and falls outside the prefix
+    Q, u, hs = 10**5, 1, [2, 3, 40]
     states = []
-    full = exceptional_density_sweep(10**5, 1, [2, 3], block_done=states.append)
-    assert len(states) == 2
-    for state in states:
-        assert isinstance(state.hits, np.ndarray)
-        assert state.hits.dtype == np.int64 and state.hits.ndim == 2 and state.hits.shape[1] == 2
-    first, last = states[0].hits, states[-1].hits
-    assert 0 < len(first) < len(last) and np.array_equal(last[: len(first)], first)
-    assert last[:, 0].tolist() == [p for p in primes_in(10**5, 2 * 10**5).tolist()
-                                   if first_nonresidue_after(p, 1) > 2]
-    # a resume state may carry its hits as any (p, d) array-like
-    as_tuples = states[0]._replace(hits=tuple(map(tuple, first.tolist())))
-    assert exceptional_density_sweep(10**5, 1, [2, 3], resume=as_tuples) == full
+    full = exceptional_density_sweep(Q, u, hs, block_done=states.append)
+    primes = primes_in(Q, 2 * Q)
+    d = np.array([first_nonresidue_after(p, u) for p in primes.tolist()])
+    want = []
+    for done, (_, hi) in enumerate(exceptional_blocks(Q), start=1):
+        seen = primes <= hi
+        found = [w for w in (primes[seen & (d > h)] for h in hs) if w.size]
+        want.append(ExceptionalState(done, int(np.count_nonzero(seen)), tuple(w.size for w in found),
+                                     tuple(tuple(w[:WITNESS_CAP].tolist()) for w in found)))
+    assert len(states) == 2 and states == want
+    assert states[0].counts[0] > WITNESS_CAP and len(states[-1].counts) == 2
+    # a resume state may carry its counts and witnesses as any int array-likes
+    as_arrays = states[0]._replace(counts=np.array(states[0].counts), witnesses=[list(w) for w in states[0].witnesses])
+    assert exceptional_density_sweep(Q, u, hs, resume=as_arrays) == full
 
 
 def test_exceptional_resume_from_final_state_scans_nothing():
@@ -231,17 +237,17 @@ def test_exceptional_validation():
     with pytest.raises(ParameterError):
         exceptional_density_sweep(100, 0, [0])
     with pytest.raises(ParameterError):
-        exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(99, 0, ()))
+        exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(99, 0, (), ()))
     # totals the scan cannot reach: 0 primes in [100, 200], or more than its 101 integers
     for total in (0, 102):
         with pytest.raises(ParameterError):
-            exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(1, total, ()))
+            exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(1, total, (), ()))
     with pytest.raises(ParameterError):
-        exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(1, 21, [(101, 2**70)]))
+        exceptional_density_sweep(100, 0, [1], resume=ExceptionalState(1, 21, (1,), ((2**70,),)))
     with pytest.raises(ParameterError):
         exceptional_density_sweep(100, [], [1])
     with pytest.raises(ParameterError):
-        exceptional_density_sweep(100, [0, 1], [1], resume=ExceptionalState(0, 0, ()))
+        exceptional_density_sweep(100, [0, 1], [1], resume=ExceptionalState(0, 0, (), ()))
     with pytest.raises(ParameterError):
         exceptional_density_sweep(100, [0, 1], [1], block_done=print)
 
