@@ -5,7 +5,11 @@ No floating point is used anywhere in this module, so results are
 bit-exact.  The scalar functions work on Python integers of any size and
 return plain ints; symbol values are restricted to {-1, 0, +1}.
 jacobi_many evaluates the same symbol over whole int64 arrays and hands
-every lane outside its domain to the scalar jacobi.
+every lane outside its domain to the scalar jacobi.  Where one side of
+the symbol is fixed and small against the lane count, the callers go
+through residue_scan's Legendre-table entries (_fixed_numerator,
+_fixed_modulus) instead, which fall back to jacobi_many under their one
+cost rule; the scalar jacobi stays the reference for both.
 """
 
 import math

@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_perfect_square, jacobi_many
+from .arith import is_perfect_square
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError
+from .residue_scan import _fixed_modulus
 from .rng import XorShift64Star
 from .sieve import RoughSet, check_rough, mertens_product, rough_set
 
@@ -42,7 +43,7 @@ _SUM_CHUNK = 1 << 16
 def _symbol_sum(lo: int, hi: int, q: int) -> int:
     """sum_{lo <= m < hi} (m|q), in chunks so memory stays bounded."""
     return sum(
-        int(jacobi_many(np.arange(start, min(start + _SUM_CHUNK, hi)), q).sum())
+        int(_fixed_modulus(np.arange(start, min(start + _SUM_CHUNK, hi)), q).sum())
         for start in range(lo, hi, _SUM_CHUNK)
     )
 
@@ -216,7 +217,7 @@ def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None
     rs = rough if rough is not None else rough_set(eta, M)
     if rs.eta != eta or rs.M != M:
         raise ParameterError("precomputed rough set does not match eta and M")
-    symbols = jacobi_many(rs.members, q)
+    symbols = _fixed_modulus(rs.members, q)
     plus = int(np.count_nonzero(symbols == 1))
     minus = int(np.count_nonzero(symbols == -1))
     zero = symbols.size - plus - minus

@@ -256,9 +256,13 @@ def _meta(config: RunConfig, extra: dict[str, Any]) -> dict[str, Any]:
 # --- checkpoint files ----------------------------------------------------
 
 def _checkpoint_key(config: RunConfig) -> str:
+    """Q, u and the sha256 of the sorted h grid: a key of fixed size
+    however many h the grid holds."""
+    import hashlib  # here, so only checkpointed runs pay for loading OpenSSL
+
     p = config.params
-    h_part = ",".join(str(h) for h in p["h_list"])
-    return f"exceptional Q={p['Q']} u={p['u']} h_list={h_part}"
+    grid = ",".join(str(h) for h in sorted(p["h_list"]))
+    return f"exceptional Q={p['Q']} u={p['u']} h_sha256={hashlib.sha256(grid.encode()).hexdigest()}"
 
 
 def _write_checkpoint(path: str, key: str, blocks: int, state: ExceptionalState) -> None:

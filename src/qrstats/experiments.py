@@ -33,9 +33,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import is_perfect_square, jacobi_many
+from .arith import is_perfect_square
 from .errors import DegenerateSetError, ParameterError, ResourceError
-from .residue_scan import _gap_tail_of, first_nonresidues_after, least_nonresidues
+from .residue_scan import _fixed_numerator, _gap_tail_of, first_nonresidues_after, least_nonresidues
 from .sieve import (
     MAX_ENDPOINT,
     SPAN_BUDGET,
@@ -563,13 +563,17 @@ def _square_product_pairs(ns: Sequence[int]) -> list[tuple[int, int]]:
     return [(i, j) for i, a in enumerate(ns) for j, b in enumerate(ns) if is_perfect_square(a * b)]
 
 
-def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> int:
-    """sum over m in moduli of (sum over n in ns of (n|m))**2, one
-    jacobi_many call per member of ns."""
+def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, list[int]]:
+    """sum over m in moduli of (sum over n in ns of (n|m))**2, with each
+    member of ns a fixed numerator (_fixed_numerator); and for each n the
+    count of m with (n|m) != 0, which for odd m are the m coprime to n."""
     acc = np.zeros(moduli.shape, dtype=np.int64)
+    nonzero = []
     for n in ns:
-        acc += jacobi_many(n, moduli)
-    return int((acc * acc).sum())
+        symbols = _fixed_numerator(n, moduli)
+        acc += symbols
+        nonzero.append(int(np.count_nonzero(symbols)))
+    return int((acc * acc).sum()), nonzero
 
 
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
@@ -633,11 +637,11 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
         raise DegenerateSetError(f"chosen set has {len(ns)} members; need at least 2")
 
     primes = primes_in(Q, 2 * Q)
-    s_direct = _squared_symbol_sums(ns, primes)
+    s_direct, _ = _squared_symbol_sums(ns, primes)
     exceptional = int(np.count_nonzero(first_nonresidues_after(primes, u, h) > h))
 
     rough = rough_set(eta, M)
-    s_rough = _squared_symbol_sums(ns, rough.members)
+    s_rough, coprime_to_n = _squared_symbol_sums(ns, rough.members)
 
     pairs = _square_product_pairs(ns)
     coprime_cache: dict[int, int] = {}
@@ -645,7 +649,9 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     for i, j in pairs:
         q_pair = ns[i] * ns[j]
         if q_pair not in coprime_cache:
-            if q_pair < 2**63:
+            if i == j:  # coprime to n * n is coprime to n
+                hit = coprime_to_n[i]
+            elif q_pair < 2**63:
                 hit = int(np.count_nonzero(np.gcd(rough.members, np.int64(q_pair)) == 1))
             else:
                 hit = sum(1 for m in rough.members.tolist() if math.gcd(m, q_pair) == 1)

@@ -20,6 +20,23 @@ are kept per process (per thread, strictly) and grow to the next power
 of two, so a scan over ascending primes allocates nothing p-sized once
 warm; squares are taken in chunks of _SQUARE_CHUNK, so a p near
 RESIDUE_TABLE_BUDGET holds only small intermediates beside its table.
+
+The same marks give the Legendre table of a prime l, (r|l) for
+0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
+without the Euclid loop of jacobi_many: _fixed_numerator for (a|m) over
+odd moduli m (the scans past u + h and the squared sums of
+proof_trace), _fixed_modulus for (m|q) over numerators m (character
+sums).  Each costs one gather of m mod l per prime factor l of the fixed
+side, plus one sign from m mod 8.  One cost rule, in _table_factors,
+picks tables over jacobi_many: a fixed side at most _TABLE_COST (32, set
+by measurement) times the lane count and at most _TABLE_LIMIT (2**20),
+int64 lanes, and a fixed side that distinct_prime_factors factors;
+every other call, out-of-domain lanes included, goes to jacobi_many
+unchanged.  least_nonresidues steps over primes l only, with one lookup
+of p mod 4l per step.  The tables are kept per process (per thread,
+like the kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB),
+least recently used out first, so proof_trace's two sums and the runs
+of a scan share them; none is built at import.
 """
 
 from __future__ import annotations
@@ -28,18 +45,24 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import jacobi, jacobi_many
-from .errors import ParameterError, ResourceError, ScanError
-from .sieve import check_window
+from .arith import jacobi_many
+from .errors import FactorizationError, ParameterError, ResourceError, ScanError
+from .sieve import check_window, distinct_prime_factors, primes_upto
 
 RESIDUE_TABLE_BUDGET = 2**31
 
 _SQUARE_CHUNK = 1 << 16
 _POSITION_SLICE = 1 << 14
+
+_TABLE_COST = 32
+_TABLE_LIMIT = 1 << 20
+_TABLE_CACHE_BUDGET = 4 << 20
+_SYMBOL_CHUNK = 1 << 16
 
 
 def _check_p(p: int) -> None:
@@ -76,6 +99,8 @@ class _SquareKernel(threading.local):
         self.steps = np.empty(0, dtype=np.uint64)
         self.k = np.empty(0, dtype=np.uint64)
         self.sq = np.empty(0, dtype=np.uint64)
+        self.tables: dict = {}
+        self.table_bytes = 0
 
     def square_marks(self, p: int) -> np.ndarray:
         """A view of p bools, False exactly at the classes k*k mod p for
@@ -135,8 +160,154 @@ class _SquareKernel(threading.local):
             pos += idx.size
         return n
 
+    def cached(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The table stored under key, or build() kept for next time.
+
+        The tables kept hold at most _TABLE_CACHE_BUDGET bytes in all: the
+        least recently used go first, and a table larger than the budget
+        is returned without being kept.
+        """
+        table = self.tables.pop(key, None)
+        if table is None:
+            table = build()
+        else:
+            self.table_bytes -= table.nbytes
+        if table.nbytes <= _TABLE_CACHE_BUDGET:
+            while self.table_bytes + table.nbytes > _TABLE_CACHE_BUDGET:
+                self.table_bytes -= self.tables.pop(next(iter(self.tables))).nbytes
+            self.tables[key] = table
+            self.table_bytes += table.nbytes
+        return table
+
+    def legendre(self, l: int) -> np.ndarray:
+        """(r|l) for 0 <= r < l as int8, for an odd prime l: 0 at r = 0,
+        then +1 at the squares and -1 elsewhere."""
+
+        def build() -> np.ndarray:
+            table = self.square_marks(l).view(np.int8) * np.int8(-2)
+            table += 1
+            table[0] = 0
+            return table
+
+        return self.cached(("legendre", l), build)
+
+    def nonresidue_steps(self, l: int) -> np.ndarray:
+        """Whether (l|p) = -1, as bools indexed by p mod 4l, for a prime l
+        and odd p: (l|p) = (p mod l | l), flipped for p = 3 mod 4 when
+        l = 3 mod 4, and (2|p) = -1 exactly for p = 3, 5 mod 8."""
+
+        def build() -> np.ndarray:
+            r = np.arange(4 * l)
+            if l == 2:
+                return (r == 3) | (r == 5)
+            symbol = self.legendre(l)[r % l]
+            if l % 4 == 3:
+                symbol[r % 4 == 3] *= -1
+            return symbol == -1
+
+        return self.cached(("steps", l), build)
+
 
 _KERNEL = _SquareKernel()
+
+
+def _table_factors(fixed, lanes: np.ndarray) -> list[tuple[int, int]] | None:
+    """The prime factors (l, e) of fixed when its symbols against the
+    lanes should come from Legendre tables; None sends them to
+    jacobi_many.
+
+    The cost rule: the tables of fixed's prime factors hold at most
+    fixed entries in all and cost 3-7 ns an entry to build up to 2**20
+    entries (13-19 ns past that, once they outgrow the cache), while the
+    Euclid loop of jacobi_many costs 150-350 ns a lane (measured on a
+    2-vCPU Xeon with numpy 2.4; a table wins twice over at 32 entries a
+    lane, from 1,000 lanes to 65,536).  So tables are
+    used only when fixed <= _TABLE_COST times the lane count, which needs
+    no factoring to decide, and fixed <= _TABLE_LIMIT (and
+    RESIDUE_TABLE_BUDGET); and only for int64 lanes and a fixed that
+    distinct_prime_factors factors.
+    """
+    limit = min(_TABLE_COST * lanes.size, _TABLE_LIMIT, RESIDUE_TABLE_BUDGET)
+    if lanes.dtype != np.int64 or not 1 <= fixed <= limit:
+        return None
+    fixed = int(fixed)
+    try:
+        primes = distinct_prime_factors(fixed)
+    except FactorizationError:
+        return None
+    factors = []
+    for l in primes:
+        e = 0
+        while fixed % l == 0:
+            fixed //= l
+            e += 1
+        factors.append((l, e))
+    return factors
+
+
+def _remainder(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """x mod k for int64 x >= 0, into out, as x - (x // k) * k: a scalar
+    floor_divide is faster than %."""
+    np.floor_divide(x, k, out=out)
+    np.multiply(out, k, out=out)
+    return np.subtract(x, out, out=out)
+
+
+def _table_symbols(m: np.ndarray, factors: list[tuple[int, int]], signs: np.ndarray) -> np.ndarray:
+    """signs[m mod 8] times the product of (m mod l | l)**e over the odd
+    factors (l, e), lane by lane as int8, 2**16 lanes at a time."""
+    tables = [(l, e % 2 == 0, _KERNEL.legendre(l)) for l, e in factors if l != 2]
+    out = np.empty(m.shape, dtype=np.int8)
+    flat_m, flat_out = m.reshape(-1), out.reshape(-1)
+    size = min(flat_m.size, _SYMBOL_CHUNK)
+    rem, symbol = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int8)
+    for lo in range(0, flat_m.size, _SYMBOL_CHUNK):
+        chunk, acc = flat_m[lo : lo + _SYMBOL_CHUNK], flat_out[lo : lo + _SYMBOL_CHUNK]
+        r, f = rem[: chunk.size], symbol[: chunk.size]
+        np.bitwise_and(chunk, 7, out=r)
+        np.take(signs, r, out=acc)
+        for l, even, table in tables:
+            np.take(table, _remainder(chunk, l, r), out=f)
+            acc *= f
+            if even:
+                acc *= f
+    return out
+
+
+def _fixed_numerator(a, m) -> np.ndarray:
+    """jacobi_many(a, m) for one numerator a >= 0 over odd moduli m > 0.
+
+    With a = 2**e * prod l**e_l, (a|m) = (2|m)**e * prod (l|m)**e_l, and
+    by reciprocity (l|m) = (m mod l | l), flipped when l = m = 3 mod 4
+    (Ireland and Rosen, ch. 5; Cohen, section 1.4).  All the flips and
+    (2|m) = -1 for m = 3, 5 mod 8 make one sign of m mod 8; the rest is a
+    table lookup of m mod l per factor.  Lanes the cost rule of
+    _table_factors refuses, or outside the domain, go to jacobi_many.
+    """
+    m = np.asarray(m)
+    factors = _table_factors(a, m)
+    if factors is None or (m.size and (m.min() < 1 or not np.bitwise_and(m, 1).all())):
+        return jacobi_many(a, m)
+    r = np.arange(8)
+    flip = np.zeros(8, dtype=bool)
+    for l, e in factors:
+        if e % 2 and l == 2:
+            flip ^= (r == 3) | (r == 5)
+        elif e % 2 and l % 4 == 3:
+            flip ^= r % 4 == 3
+    return _table_symbols(m, factors, np.where(flip, -1, 1).astype(np.int8))
+
+
+def _fixed_modulus(m, q) -> np.ndarray:
+    """jacobi_many(m, q) for numerators m >= 0 and one odd modulus q > 0:
+    with q = prod l**e_l, (m|q) = prod (m mod l | l)**e_l, one table
+    lookup per factor.  Lanes the cost rule of _table_factors refuses, or
+    outside the domain, go to jacobi_many."""
+    m = np.asarray(m)
+    factors = _table_factors(q, m) if q % 2 else None
+    if factors is None or (m.size and m.min() < 0):
+        return jacobi_many(m, q)
+    return _table_symbols(m, factors, np.ones(8, dtype=np.int8))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,22 +354,65 @@ def residue_map(p: int, zero_as_residue: bool = True) -> ResidueMap:
 
 
 def least_nonresidue(p: int) -> int:
-    """The smallest n >= 2 with (n|p) = -1, by direct symbol evaluation.
-
-    No residue table is built; the scan is a handful of Jacobi symbols
-    for almost every prime.
-    """
+    """The smallest n >= 2 with (n|p) = -1: least_nonresidues on the one
+    lane p."""
     _check_p(p)
-    for n in range(2, p + 1):
-        if jacobi(n, p) == -1:
-            return n
-    raise ScanError(f"no non-residue found below {p}; is p={p} prime?")
+    return int(least_nonresidues([p])[0])
+
+
+def _odd_moduli(P) -> np.ndarray:
+    """P as a 1-d array, every entry an odd p >= 3."""
+    P = np.asarray(P).reshape(-1)
+    if P.size and (P.min() < 3 or (P % 2 == 0).any()):
+        raise ParameterError(f"need odd p >= 3, got {P[(P < 3) | (P % 2 == 0)][0]}")
+    return P
+
+
+@lru_cache(maxsize=None)
+def _primes_below(limit: int) -> tuple[int, ...]:
+    return tuple(primes_upto(limit - 1).tolist())
+
+
+def _primes_from_2() -> Iterator[int]:
+    """2, 3, 5, 7, ... without end, from prime lists of doubling limit."""
+    done, limit = 0, 64
+    while True:
+        primes = _primes_below(limit)
+        yield from primes[done:]
+        done, limit = len(primes), 2 * limit
 
 
 def least_nonresidues(P) -> np.ndarray:
-    """least_nonresidue(p) for every odd prime p of P, in order, stepping
-    all of them together through first_nonresidues_after."""
-    return first_nonresidues_after(P, 1) + 1
+    """least_nonresidue(p) for every odd prime p of P, in order.
+
+    (n|p) is completely multiplicative in n, so the least n with
+    (n|p) = -1 is a prime l, and the scan steps over primes only.  Each
+    step decides (l|p) for the primes still undecided by one lookup of
+    p mod 4l in a table of 4l entries (_SquareKernel.nonresidue_steps);
+    lanes outside int64 take jacobi_many instead.  A p still undecided
+    once l - 1 passes it has no non-residue at all and is reported as a
+    scan error.
+    """
+    P = _odd_moduli(P)
+    by_table = P.dtype.kind in "iu" and np.can_cast(P.dtype, np.int64)
+    if by_table:
+        P = P.astype(np.int64, copy=False)
+    out = np.zeros(P.size, dtype=np.int64)
+    active = np.arange(P.size)
+    for l in _primes_from_2():
+        if not active.size:
+            break
+        live = P[active]
+        if live.min() < l - 1:
+            p = live.min()
+            raise ScanError(f"no non-residue found below {p}; is p={p} prime?")
+        if by_table:
+            hit = _KERNEL.nonresidue_steps(l)[_remainder(live, 4 * l, np.empty_like(live))]
+        else:
+            hit = jacobi_many(l, live) == -1
+        out[active[hit]] = l
+        active = active[~hit]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,33 +494,23 @@ def _gap_tail_of(p: int, h: int) -> tuple[int, int]:
 
 
 def first_nonresidue_after(p: int, u: int) -> int:
-    """The least h >= 1 such that u + h is a non-residue mod p.
-
-    Works from u mod p, so u far beyond p costs nothing extra.  For an
-    odd prime the scan is bounded by p; running past that bound means the
-    modulus was not prime and is reported as a scan error.
-    """
+    """The least h >= 1 such that u + h is a non-residue mod p:
+    first_nonresidues_after on the one lane p.  Running past p steps
+    means the modulus was not prime and is reported as a scan error."""
     _check_p(p)
-    check_window(u)
-    base = u % p
-    for h in range(1, p + 1):
-        if jacobi((base + h) % p, p) == -1:
-            return h
-    raise ScanError(f"no non-residue within {p} steps after u={u}; is p={p} prime?")
+    return int(first_nonresidues_after([p], u)[0])
 
 
 def first_nonresidues_after(P, u: int, cap: int | None = None) -> np.ndarray:
     """first_nonresidue_after(p, u) for every odd prime p of P, in order,
     as a 1-d int64 array; with a cap, values past it read cap + 1.
 
-    Each step h evaluates (u + h | p) with one jacobi_many call over the
-    primes still undecided, so the work shrinks with the active set.  A
-    prime still undecided after h = p steps has no non-residue at all
-    and is reported as a scan error, as first_nonresidue_after does.
+    Each step h evaluates (u + h | p) over the primes still undecided,
+    with the numerator fixed (_fixed_numerator), so the work shrinks with
+    the active set.  A prime still undecided after h = p steps has no
+    non-residue at all and is reported as a scan error.
     """
-    P = np.asarray(P).reshape(-1)
-    if P.size and (P.min() < 3 or (P % 2 == 0).any()):
-        raise ParameterError(f"need odd p >= 3, got {P[(P < 3) | (P % 2 == 0)][0]}")
+    P = _odd_moduli(P)
     check_window(u)
     steps = itertools.count(1) if cap is None else range(1, cap + 1)
     out = np.full(P.size, -1 if cap is None else cap + 1, dtype=np.int64)
@@ -318,7 +522,7 @@ def first_nonresidues_after(P, u: int, cap: int | None = None) -> np.ndarray:
         if live.min() < h:
             p = live[live < h][0]
             raise ScanError(f"no non-residue within {p} steps after u={u}; is p={p} prime?")
-        hit = jacobi_many(u + h, live) == -1
+        hit = _fixed_numerator(u + h, live) == -1
         out[active[hit]] = h
         active = active[~hit]
     return out

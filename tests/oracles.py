@@ -68,6 +68,29 @@ def jacobi_by_factorization(m: int, q: int) -> int:
     return result
 
 
+def is_nonresidue(n: int, p: int) -> bool:
+    """(n|p) = -1 for an odd prime p, by Euler's criterion."""
+    return pow(n % p, (p - 1) // 2, p) == p - 1
+
+
+def least_nonresidue(p: int) -> int:
+    """The smallest n >= 2 that is a non-residue of the odd prime p, by
+    trying every n in turn."""
+    n = 2
+    while not is_nonresidue(n, p):
+        n += 1
+    return n
+
+
+def first_nonresidue_after(p: int, u: int) -> int:
+    """The least h >= 1 with u + h a non-residue of the odd prime p, by
+    trying every h in turn."""
+    h = 1
+    while not is_nonresidue(u + h, p):
+        h += 1
+    return h
+
+
 def is_squarefree_slow(n: int) -> bool:
     for p, e in factorize(n).items():
         if e > 1:

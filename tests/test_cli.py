@@ -31,7 +31,6 @@ from qrstats.cli import (
     parse_args,
 )
 from qrstats.experiments import exceptional_blocks, exceptional_density_sweep
-from qrstats.residue_scan import first_nonresidue_after
 from qrstats.rng import XorShift64Star
 from qrstats.sieve import primes_in
 
@@ -710,8 +709,16 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("command, digest", GOLDEN, ids=[command for command, _ in GOLDEN])
+def _golden_runs():
+    """Every command at 1 and 2 workers; the pool commands (exceptional,
+    erdos, gaps --tail) and trace at 8 as well."""
+    for command, digest in GOLDEN:
+        pool = command.split()[0] in ("exceptional", "erdos", "trace") or "--tail" in command
+        for workers in ("1", "2", "8") if pool else ("1", "2"):
+            yield pytest.param(command, digest, workers, id=f"{command}-{workers}")
+
+
+@pytest.mark.parametrize("command, digest, workers", _golden_runs())
 def test_golden_output_digest(capsys, command, digest, workers):
     code, out, _ = run_cli(capsys, *command.split(), "--workers", workers)
     assert code == 0
@@ -759,7 +766,7 @@ def test_checkpoint_resume_matches_full_run(tmp_path, capsys):
 @functools.cache
 def _direct_steps(Q, u):
     primes = primes_in(Q, 2 * Q)
-    return primes, np.array([first_nonresidue_after(p, u) for p in primes.tolist()])
+    return primes, np.array([oracles.first_nonresidue_after(p, u) for p in primes.tolist()])
 
 
 def _direct_checkpoint_texts(Q, u, hs, key, every):
@@ -836,6 +843,29 @@ def test_checkpoint_written_during_run(tmp_path, capsys):
     _, bare, _ = run_cli(capsys, *base)
     assert out == bare
     assert ckpt.exists()
+
+
+def test_checkpoint_key_line_stays_short_for_a_long_grid(tmp_path):
+    base = ["exceptional", "--q", "1000000", "--u", "123456", "--checkpoint", str(tmp_path / "k.ckpt")]
+    key = _checkpoint_key(parse_args([*base, "--h-multiples", "20000"]))
+    assert len(f"key: {key}\n".encode()) < 200
+    assert key.startswith("exceptional Q=1000000 u=123456 h_sha256=")
+    # the digest still tells grids apart, and not their order
+    assert key != _checkpoint_key(parse_args([*base, "--h-multiples", "19999"]))
+    assert _checkpoint_key(parse_args([*base, "--h-list", "5,9"])) == _checkpoint_key(
+        parse_args([*base, "--h-list", "9,5"]))
+
+
+def test_checkpoint_with_a_spelled_out_h_list_key_exits_2(tmp_path, capsys):
+    # v2 files written before the key held a digest of the h grid
+    Q = 100000
+    ckpt = tmp_path / "old.ckpt"
+    state = _partial_state(Q, 0, [2, 3])[0]
+    _write_checkpoint(str(ckpt), f"exceptional Q={Q} u=0 h_list=2,3", len(exceptional_blocks(Q)), state)
+    code, out, err = run_cli(capsys, "exceptional", "--q", str(Q), "--u", "0", "--h-list", "2,3",
+                             "--checkpoint", str(ckpt))
+    assert (code, out) == (2, "")
+    assert "different run" in err
 
 
 def test_checkpoint_key_mismatch_exits_2(tmp_path, capsys):

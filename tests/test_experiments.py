@@ -30,8 +30,10 @@ from qrstats.experiments import (
     proof_trace,
     squarefree_pair_density,
 )
-from qrstats.residue_scan import first_nonresidue_after, first_nonresidues_after, least_nonresidues
+from qrstats.residue_scan import first_nonresidues_after, least_nonresidues
 from qrstats.sieve import feller_tornier_A, primes_in, rough_set
+
+import oracles
 
 
 # --- Erdos mean ----------------------------------------------------------
@@ -123,7 +125,7 @@ def test_exceptional_pinned():
 
 def test_exceptional_h1_matches_direct_scan():
     ed = exceptional_density(200, 5, 1)
-    brute = [p for p in primes_in(200, 400).tolist() if first_nonresidue_after(p, 5) > 1]
+    brute = [p for p in primes_in(200, 400).tolist() if oracles.first_nonresidue_after(p, 5) > 1]
     assert ed.exceptional == len(brute)
     assert ed.witness_list == tuple(brute)
     assert ed.total_primes == primes_in(200, 400).size
@@ -206,7 +208,7 @@ def test_block_done_states_equal_a_direct_scan_of_the_merged_blocks():
     states = []
     full = exceptional_density_sweep(Q, u, hs, block_done=states.append)
     primes = primes_in(Q, 2 * Q)
-    d = np.array([first_nonresidue_after(p, u) for p in primes.tolist()])
+    d = np.array([oracles.first_nonresidue_after(p, u) for p in primes.tolist()])
     want = []
     for done, (_, hi) in enumerate(exceptional_blocks(Q), start=1):
         seen = primes <= hi
@@ -336,6 +338,8 @@ def test_trace_large_h_pinned():
     assert (t.N_size, t.T) == (3, 3)
     assert t.rough_size == rough_set(0.15, 2000).count == 667
     assert (t.exceptional, t.S_direct, t.S_rough) == (3, 391, 1841)
+    members = rough_set(0.15, 2000).members.tolist()
+    assert t.square_pair_sum == sum(1 for n in (3, 7, 11) for m in members if math.gcd(m, n * n) == 1)
     assert t.h_exceeds_log_q
     assert not t.u_exceeds_2q
     _assert_chain(t)
@@ -349,10 +353,12 @@ def test_trace_small_h_matches_scalar_sums(u, h):
     assert t.regime == "small-h"
     ns = [n for n in range(u + 1, u + h + 1) if n % 4 == 1]
     primes = primes_in(Q, 2 * Q).tolist()
-    assert t.exceptional == sum(1 for p in primes if first_nonresidue_after(p, u) > h)
+    assert t.exceptional == sum(1 for p in primes if oracles.first_nonresidue_after(p, u) > h)
     assert t.S_direct == sum(sum(jacobi(n % p, p) for n in ns) ** 2 for p in primes)
     members = rough_set(eta, 2 * Q).members.tolist()
     assert t.S_rough == sum(sum(jacobi(n % m, m) for n in ns) ** 2 for m in members)
+    pairs = [(a, b) for a in ns for b in ns if is_perfect_square(a * b)]
+    assert t.square_pair_sum == sum(1 for a, b in pairs for m in members if math.gcd(m, a * b) == 1)
 
 
 def test_trace_small_h_pinned():

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrstats.errors import ParameterError, ResourceError, ScanError
-from qrstats.experiments import _scan_gap_chunk
+from qrstats import residue_scan
+from qrstats.arith import jacobi, jacobi_many
+from qrstats.charsums import incomplete_char_sum, rough_partition
+from qrstats.errors import FactorizationError, ParameterError, ResourceError, ScanError
+from qrstats.experiments import _scan_gap_chunk, proof_trace
 from qrstats.residue_scan import (
     _KERNEL,
+    _fixed_modulus,
+    _fixed_numerator,
     _gap_tail_of,
     check_crt,
     check_tail,
@@ -25,6 +30,7 @@ from qrstats.residue_scan import (
 )
 from qrstats.sieve import primes_in
 
+import oracles
 from oracles import classify_residue, legendre_by_squares, longest_run_brute, squares_mod
 
 small_primes = st.sampled_from([int(p) for p in primes_in(3, 500).tolist()])
@@ -144,20 +150,22 @@ def test_first_nonresidue_at_zero_is_least_nonresidue(p):
 
 
 def test_least_nonresidues_matches_scalar_below_1e5():
+    # the prime steps against the oracle's scan over every n, for every
+    # odd prime below 10**5
     P = primes_in(3, 10**5)
-    assert least_nonresidues(P).tolist() == [least_nonresidue(p) for p in P.tolist()]
+    assert least_nonresidues(P).tolist() == [oracles.least_nonresidue(p) for p in P.tolist()]
 
 
 def test_least_nonresidues_past_int64():
     p = 2**64 - 59  # the largest prime below 2**64
-    assert least_nonresidues([p]).tolist() == [least_nonresidue(p)]
+    assert least_nonresidues([p]).tolist() == [least_nonresidue(p)] == [oracles.least_nonresidue(p)]
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=2**80), st.integers(min_value=1, max_value=40))
 def test_first_nonresidues_after_matches_scalar(u, cap):
     P = primes_in(3, 3000)
-    want = [min(first_nonresidue_after(p, u), cap + 1) for p in P.tolist()]
+    want = [min(oracles.first_nonresidue_after(p, u), cap + 1) for p in P.tolist()]
     assert first_nonresidues_after(P, u, cap).tolist() == want
 
 
@@ -239,15 +247,23 @@ def test_gap_stats_never_aliases_the_kernel():
         assert not np.shares_memory(gs.deltas, buffer)
 
 
-def test_kernel_buffers_are_per_thread():
+def test_kernel_buffers_are_per_thread(monkeypatch):
+    # the symbol tables too, through a cache that holds about two of them
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
+    monkeypatch.setattr(residue_scan, "_TABLE_CACHE_BUDGET", 30000)
     primes = [10007, 4099, 20011, 8191, 12289, 3001]
-    want = {p: (longest_qr_run(p), gap_stats(p).deltas.sum()) for p in primes}
+    m = np.arange(3000)
+
+    def values(p):
+        return longest_qr_run(p), gap_stats(p).deltas.sum(), _fixed_modulus(m, p).tolist()
+
+    want = {p: values(p) for p in primes}
     wrong = []
 
     def work(order):
         for _ in range(15):
             for p in order:
-                if (longest_qr_run(p), gap_stats(p).deltas.sum()) != want[p]:
+                if values(p) != want[p]:
                     wrong.append(p)
 
     interval = sys.getswitchinterval()
@@ -344,3 +360,154 @@ def test_first_nonresidue_after_checks_its_window():
     # dup's precondition: the same check_window as squarefree_in_interval
     with pytest.raises(ParameterError):
         first_nonresidue_after(11, -1)
+
+
+# --- symbols from Legendre tables ----------------------------------------
+
+# primes = 1 mod 4 (5, 13, 17, 29, 101, 1009, 1013) and = 3 mod 4 (3, 7,
+# 11, 19, 23, 31, 103, 1019)
+_TABLE_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101, 103, 1009, 1013, 1019]
+
+
+@st.composite
+def _fixed_sides(draw, odd):
+    """0, 1, or a product of prime powers up to 2**20: repeated factors,
+    squares and, unless odd, powers of 2."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([1] if odd else [0, 1]))
+    primes = _TABLE_PRIMES if odd else [2, *_TABLE_PRIMES]
+    n = 1
+    for l, e in draw(st.lists(st.tuples(st.sampled_from(primes), st.integers(1, 5)), max_size=4)):
+        if n * l**e <= 1 << 20:
+            n *= l**e
+    return n
+
+
+def _lanes(extra, fixed, odd):
+    """Random lanes plus 1 (the modulus 1) and multiples of each odd prime
+    factor of fixed (symbol 0)."""
+    factors = [l for l in oracles.factorize(fixed) if l != 2] if fixed else []
+    special = [1] + [l * k for l in factors for k in (1, 3, 5)] + [fixed | 1]
+    lanes = special + extra
+    return np.array([2 * m + 1 if odd and m % 2 == 0 else m for m in lanes], dtype=np.int64)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as a list, or the type and message of its error."""
+    try:
+        return fn(*args).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _spy_on_jacobi_many(mp):
+    calls = []
+
+    def spy(m, q):
+        calls.append((m, q))
+        return jacobi_many(m, q)
+
+    mp.setattr(residue_scan, "jacobi_many", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cost", [0, 10**18])
+@settings(deadline=None)
+@given(a=_fixed_sides(odd=False), more=st.lists(st.integers(1, 10**6), max_size=40))
+def test_fixed_numerator_matches_scalar_jacobi(cost, a, more):
+    m = _lanes(more, a, odd=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_scan, "_TABLE_COST", cost)
+        calls = _spy_on_jacobi_many(mp)
+        got = _fixed_numerator(a, m).tolist()
+    assert got == [jacobi(a, int(q)) for q in m]
+    # tables for every a >= 1 once the cost rule allows them, never for a = 0
+    assert bool(calls) == (cost == 0 or a == 0)
+
+
+@pytest.mark.parametrize("cost", [0, 10**18])
+@settings(deadline=None)
+@given(q=_fixed_sides(odd=True), more=st.lists(st.integers(0, 10**6), max_size=40))
+def test_fixed_modulus_matches_scalar_jacobi(cost, q, more):
+    m = np.concatenate(([0], _lanes(more, q, odd=False)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_scan, "_TABLE_COST", cost)
+        calls = _spy_on_jacobi_many(mp)
+        got = _fixed_modulus(m, q).tolist()
+    assert got == [jacobi(int(x), q) for x in m]
+    assert bool(calls) == (cost == 0)
+
+
+def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
+    cases = [
+        # lanes past int64, as Python ints, object and uint64 arrays
+        (15, [3, 5, 2**70 + 1, 2**64 - 59]),
+        (15, np.array([3, 2**70 + 1], dtype=object)),
+        (15, np.array([3, 2**64 - 59], dtype=np.uint64)),
+        # a fixed side past int64, past the table limit, and negative
+        (2**70 + 1, np.array([3, 5, 7])),
+        (residue_scan._TABLE_LIMIT + 1, np.array([3, 5, 7])),
+        (-3, np.array([3, 5])),
+        # negative, even and zero moduli, a negative numerator lane
+        (15, np.array([3, -5])),
+        (15, np.array([3, 4])),
+        (15, np.array([0, 3])),
+    ]
+    for a, m in cases:
+        want = _outcome(jacobi_many, a, m)
+        assert _outcome(_fixed_numerator, a, m) == want, (a, m)
+        assert _outcome(_fixed_modulus, m, a) == _outcome(jacobi_many, m, a), (a, m)
+    # an even modulus and one past int64 for the fixed-modulus entry
+    for q in (4, 0, 2**70 + 3):
+        m = np.array([1, 2, 3])
+        assert _outcome(_fixed_modulus, m, q) == _outcome(jacobi_many, m, q)
+    # a fixed side the factoring refuses
+    def refuse(n):
+        raise FactorizationError(f"cannot factor {n}")
+
+    monkeypatch.setattr(residue_scan, "distinct_prime_factors", refuse)
+    m = np.array([3, 5, 7, 9, 11])
+    assert _fixed_numerator(21, m).tolist() == [jacobi(21, int(x)) for x in m]
+    assert _fixed_modulus(m, 21).tolist() == [jacobi(int(x), 21) for x in m]
+
+
+def test_table_cost_changes_no_result(monkeypatch):
+    def results():
+        primes = primes_in(10**4, 2 * 10**4)
+        return (
+            proof_trace(10**4, 10**4, 20, 0.15),
+            proof_trace(10**4, 0, 12, 0.15),
+            rough_partition(0.2, 10**5, 10007),
+            incomplete_char_sum(5000, 3 * 3 * 5 * 7 * 11),
+            first_nonresidues_after(primes, 12345, 30).tolist(),
+        )
+
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 0)
+    euclid = results()
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
+    assert results() == euclid
+
+
+def test_table_cache_stays_within_its_budget(monkeypatch):
+    # tables of at most 1019 bytes, so no large array is allocated
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
+    moduli = primes_in(3, 3000)
+    ns = [3 * 5 * 7, 1009, 3 * 1013, 9 * 101, 8 * 1019, 997, 11 * 13 * 17 * 19]
+    want = [[jacobi(n, int(m)) for m in moduli] for n in ns]
+    for budget in (0, 1500, 2500, 1 << 20):
+        monkeypatch.setattr(residue_scan, "_TABLE_CACHE_BUDGET", budget)
+        monkeypatch.setattr(_KERNEL, "tables", {})
+        monkeypatch.setattr(_KERNEL, "table_bytes", 0)
+        for _ in range(2):
+            for n, symbols in zip(ns, want):
+                assert _fixed_numerator(n, moduli).tolist() == symbols
+                assert _KERNEL.table_bytes == sum(t.nbytes for t in _KERNEL.tables.values()) <= budget
+        assert bool(_KERNEL.tables) == (budget > 0)
+    # least recently used out first: 1013 goes, 1009 was used since
+    monkeypatch.setattr(residue_scan, "_TABLE_CACHE_BUDGET", 2100)
+    monkeypatch.setattr(_KERNEL, "tables", {})
+    monkeypatch.setattr(_KERNEL, "table_bytes", 0)
+    for l in (1009, 1013, 1009, 1019):
+        _KERNEL.legendre(l)
+    assert sorted(_KERNEL.tables) == [("legendre", 1009), ("legendre", 1019)]
