@@ -10,7 +10,7 @@ the same operations.
 
 __version__ = "0.1.0"
 
-from .arith import is_perfect_square, jacobi, legendre_euler, powmod
+from .arith import is_perfect_square, jacobi, legendre_euler
 from .charsums import (
     CharSumReport,
     RoughPartition,

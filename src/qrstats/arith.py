@@ -9,7 +9,10 @@ every lane outside its domain to the scalar jacobi.  Where one side of
 the symbol is fixed and small against the lane count, the callers go
 through residue_scan's Legendre-table entries (_fixed_numerator,
 _fixed_modulus) instead, which fall back to jacobi_many under their one
-cost rule; the scalar jacobi stays the reference for both.
+cost rule; residue_scan's first-hit scan steps its last few lanes
+through the scalar jacobi.  The scalar jacobi stays the reference for
+all of them, and legendre_euler, which shares no code with it, checks
+it in turn.
 """
 
 import math
@@ -129,20 +132,6 @@ def legendre_euler(m: int, p: int) -> int:
     if r == p - 1:
         return -1
     return r
-
-
-def powmod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for base, exp >= 0 and modulus >= 1.
-
-    Thin wrapper over the built-in three-argument pow, which is exact for
-    arbitrary magnitudes; exists so callers get the package's argument
-    checking and error types.
-    """
-    if modulus < 1:
-        raise InvalidModulusError(f"modulus must be positive, got {modulus}")
-    if base < 0 or exp < 0:
-        raise ValueError("base and exponent must be non-negative")
-    return pow(base, exp, modulus)
 
 
 def is_perfect_square(n: int) -> bool:

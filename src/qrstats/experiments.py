@@ -39,11 +39,11 @@ from .residue_scan import _fixed_numerator, _gap_tail_of, first_nonresidues_afte
 from .sieve import (
     MAX_ENDPOINT,
     SPAN_BUDGET,
+    ascending_primes,
     check_eta,
     check_window,
     feller_tornier_A,
     primes_in,
-    primes_upto,
     rough_set,
     rough_threshold,
     squarefree_in_interval,
@@ -133,26 +133,11 @@ def erdos_constant(tail_bound: float = 1e-12) -> float:
     """
     if tail_bound <= 0.0:
         raise ParameterError(f"need tail_bound > 0, got {tail_bound}")
-    limit = 512
-    while True:
-        total = 0.0
-        for k, p in enumerate(primes_upto(limit).tolist(), start=1):
-            total += p / 2.0**k
-            if p / 2.0 ** (k - 1) < tail_bound:
-                return total
-        limit *= 2
-
-
-def erdos_constant_partial(terms: int) -> float:
-    """Sum of the first `terms` terms p_k / 2**k."""
-    if terms < 1:
-        raise ParameterError(f"need terms >= 1, got {terms}")
-    limit = 512
-    while True:
-        ps = primes_upto(limit)
-        if ps.size >= terms:
-            return math.fsum(p / 2.0**k for k, p in enumerate(ps[:terms].tolist(), start=1))
-        limit *= 2
+    total = 0.0
+    for k, p in enumerate(ascending_primes(), start=1):
+        total += p / 2.0**k
+        if p / 2.0 ** (k - 1) < tail_bound:
+            return total
 
 
 def _scan_erdos_block(args: tuple[list[tuple[int, int]]]) -> list[tuple[int, int]]:

@@ -32,11 +32,19 @@ picks tables over jacobi_many: a fixed side at most _TABLE_COST (32, set
 by measurement) times the lane count and at most _TABLE_LIMIT (2**20),
 int64 lanes, and a fixed side that distinct_prime_factors factors;
 every other call, out-of-domain lanes included, goes to jacobi_many
-unchanged.  least_nonresidues steps over primes l only, with one lookup
-of p mod 4l per step.  The tables are kept per process (per thread,
-like the kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB),
-least recently used out first, so proof_trace's two sums and the runs
-of a scan share them; none is built at import.
+unchanged.  The tables are kept per process (per thread, like the
+kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB), least
+recently used out first, so proof_trace's two sums and the runs of a
+scan share them; none is built at import.
+
+The least non-residue is the u = 0 case of the first non-residue past
+u, and both come from one first-hit scan, _first_hits: it walks steps
+(value, a, bound) and records, lane by lane, the first value with
+(a|p) = -1.  least_nonresidues steps over the primes l, with a = l;
+first_nonresidues_after over h = 1, 2, ..., with a = u + h.  Each step
+is one _fixed_numerator call over the lanes still undecided, until at
+most _SCALAR_LANES (64) remain; those step through the scalar jacobi on
+Python ints, so a one-prime call pays no numpy overhead per step.
 """
 
 from __future__ import annotations
@@ -45,14 +53,13 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arith import jacobi_many
+from .arith import _lanes, jacobi, jacobi_many
 from .errors import FactorizationError, ParameterError, ResourceError, ScanError
-from .sieve import check_window, distinct_prime_factors, primes_upto
+from .sieve import ascending_primes, check_window, distinct_prime_factors
 
 RESIDUE_TABLE_BUDGET = 2**31
 
@@ -63,6 +70,11 @@ _TABLE_COST = 32
 _TABLE_LIMIT = 1 << 20
 _TABLE_CACHE_BUDGET = 4 << 20
 _SYMBOL_CHUNK = 1 << 16
+# A numpy step costs 40-50 us by tables and 200-350 us by jacobi_many at
+# up to 128 lanes, the scalar jacobi 1-3 us a lane (2-vCPU Xeon, numpy
+# 2.4): the scalar route wins below about 40 lanes on tables and 100 on
+# the Euclid loop, and whole scans read the same from 32 to 128.
+_SCALAR_LANES = 64
 
 
 def _check_p(p: int) -> None:
@@ -190,22 +202,6 @@ class _SquareKernel(threading.local):
             return table
 
         return self.cached(("legendre", l), build)
-
-    def nonresidue_steps(self, l: int) -> np.ndarray:
-        """Whether (l|p) = -1, as bools indexed by p mod 4l, for a prime l
-        and odd p: (l|p) = (p mod l | l), flipped for p = 3 mod 4 when
-        l = 3 mod 4, and (2|p) = -1 exactly for p = 3, 5 mod 8."""
-
-        def build() -> np.ndarray:
-            r = np.arange(4 * l)
-            if l == 2:
-                return (r == 3) | (r == 5)
-            symbol = self.legendre(l)[r % l]
-            if l % 4 == 3:
-                symbol[r % 4 == 3] *= -1
-            return symbol == -1
-
-        return self.cached(("steps", l), build)
 
 
 _KERNEL = _SquareKernel()
@@ -356,63 +352,65 @@ def residue_map(p: int, zero_as_residue: bool = True) -> ResidueMap:
 def least_nonresidue(p: int) -> int:
     """The smallest n >= 2 with (n|p) = -1: least_nonresidues on the one
     lane p."""
-    _check_p(p)
     return int(least_nonresidues([p])[0])
 
 
-def _odd_moduli(P) -> np.ndarray:
-    """P as a 1-d array, every entry an odd p >= 3."""
-    P = np.asarray(P).reshape(-1)
-    if P.size and (P.min() < 3 or (P % 2 == 0).any()):
-        raise ParameterError(f"need odd p >= 3, got {P[(P < 3) | (P % 2 == 0)][0]}")
-    return P
+def _first_hits(P, steps: Iterable[tuple[int, int, int]], fill: int, message: Callable[[int], str]) -> np.ndarray:
+    """For each odd p >= 3 of P, in order, the value of the first step
+    (value, a, bound) with (a|p) = -1, or fill when the steps run out, as
+    a 1-d int64 array.
 
-
-@lru_cache(maxsize=None)
-def _primes_below(limit: int) -> tuple[int, ...]:
-    return tuple(primes_upto(limit - 1).tolist())
-
-
-def _primes_from_2() -> Iterator[int]:
-    """2, 3, 5, 7, ... without end, from prime lists of doubling limit."""
-    done, limit = 0, 64
-    while True:
-        primes = _primes_below(limit)
-        yield from primes[done:]
-        done, limit = len(primes), 2 * limit
+    Each step evaluates (a|p) over the lanes still undecided, with the
+    numerator fixed (_fixed_numerator), so the work shrinks with them;
+    once at most _SCALAR_LANES remain, the rest step through the scalar
+    jacobi on Python ints, which costs less than numpy's per-call
+    overhead.  A lane still undecided below a step's bound has no
+    non-residue at all: the first such lane p raises
+    ScanError(message(p)).
+    """
+    P = _lanes(P).reshape(-1)
+    bad = (P < 3) | ((P & 1) == 0)
+    if bad.any():
+        _check_p(P[bad][0])
+    out = np.empty(P.size, dtype=np.int64)
+    active, live = np.arange(P.size), P
+    lanes = None  # {index: p} once the scan turns scalar
+    for value, a, bound in steps:
+        if lanes is None and active.size <= _SCALAR_LANES:
+            lanes = dict(zip(active.tolist(), live.tolist()))
+        if lanes is None:
+            if live.min() < bound:
+                raise ScanError(message(int(live[live < bound][0])))
+            # Every active lane takes the value, and a later step or the
+            # fill overwrites the lanes kept.  One flatnonzero and integer
+            # gathers cost less than three boolean selections: 17-21 ms
+            # against 45-61 ms over the odd primes below 10**7.
+            out[active] = value
+            keep = np.flatnonzero(_fixed_numerator(a, live) != -1)
+            active, live = active[keep], live[keep]
+        elif not lanes:
+            break
+        else:
+            for i, p in list(lanes.items()):
+                if p < bound:
+                    raise ScanError(message(p))
+                if jacobi(a, p) == -1:
+                    out[i] = value
+                    del lanes[i]
+    out[active if lanes is None else list(lanes)] = fill
+    return out
 
 
 def least_nonresidues(P) -> np.ndarray:
     """least_nonresidue(p) for every odd prime p of P, in order.
 
     (n|p) is completely multiplicative in n, so the least n with
-    (n|p) = -1 is a prime l, and the scan steps over primes only.  Each
-    step decides (l|p) for the primes still undecided by one lookup of
-    p mod 4l in a table of 4l entries (_SquareKernel.nonresidue_steps);
-    lanes outside int64 take jacobi_many instead.  A p still undecided
-    once l - 1 passes it has no non-residue at all and is reported as a
-    scan error.
+    (n|p) = -1 is a prime l, and the scan (_first_hits) steps over the
+    primes l only.  A p still undecided once l - 1 passes it has no
+    non-residue at all and is reported as a scan error.
     """
-    P = _odd_moduli(P)
-    by_table = P.dtype.kind in "iu" and np.can_cast(P.dtype, np.int64)
-    if by_table:
-        P = P.astype(np.int64, copy=False)
-    out = np.zeros(P.size, dtype=np.int64)
-    active = np.arange(P.size)
-    for l in _primes_from_2():
-        if not active.size:
-            break
-        live = P[active]
-        if live.min() < l - 1:
-            p = live.min()
-            raise ScanError(f"no non-residue found below {p}; is p={p} prime?")
-        if by_table:
-            hit = _KERNEL.nonresidue_steps(l)[_remainder(live, 4 * l, np.empty_like(live))]
-        else:
-            hit = jacobi_many(l, live) == -1
-        out[active[hit]] = l
-        active = active[~hit]
-    return out
+    steps = ((l, l, l - 1) for l in ascending_primes())
+    return _first_hits(P, steps, 0, lambda p: f"no non-residue found below {p}; is p={p} prime?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,7 +495,6 @@ def first_nonresidue_after(p: int, u: int) -> int:
     """The least h >= 1 such that u + h is a non-residue mod p:
     first_nonresidues_after on the one lane p.  Running past p steps
     means the modulus was not prime and is reported as a scan error."""
-    _check_p(p)
     return int(first_nonresidues_after([p], u)[0])
 
 
@@ -505,27 +502,16 @@ def first_nonresidues_after(P, u: int, cap: int | None = None) -> np.ndarray:
     """first_nonresidue_after(p, u) for every odd prime p of P, in order,
     as a 1-d int64 array; with a cap, values past it read cap + 1.
 
-    Each step h evaluates (u + h | p) over the primes still undecided,
-    with the numerator fixed (_fixed_numerator), so the work shrinks with
-    the active set.  A prime still undecided after h = p steps has no
-    non-residue at all and is reported as a scan error.
+    The scan (_first_hits) steps over h = 1, 2, ... with numerator
+    u + h.  A prime still undecided after h = p steps has no non-residue
+    at all and is reported as a scan error.
     """
-    P = _odd_moduli(P)
     check_window(u)
-    steps = itertools.count(1) if cap is None else range(1, cap + 1)
-    out = np.full(P.size, -1 if cap is None else cap + 1, dtype=np.int64)
-    active = np.arange(P.size)
-    for h in steps:
-        if not active.size:
-            break
-        live = P[active]
-        if live.min() < h:
-            p = live[live < h][0]
-            raise ScanError(f"no non-residue within {p} steps after u={u}; is p={p} prime?")
-        hit = _fixed_numerator(u + h, live) == -1
-        out[active[hit]] = h
-        active = active[~hit]
-    return out
+    steps = ((h, u + h, h) for h in (itertools.count(1) if cap is None else range(1, cap + 1)))
+    return _first_hits(
+        P, steps, -1 if cap is None else cap + 1,
+        lambda p: f"no non-residue within {p} steps after u={u}; is p={p} prime?",
+    )
 
 
 def longest_qr_run(p: int, zero_as_residue: bool = True) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,11 +72,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n in ascending order: primes_in(2, n), or an empty
     array for n < 2."""
-    if n > TABLE_BUDGET:
-        raise ResourceError(f"prime table up to {n} exceeds the budget of {TABLE_BUDGET}")
+    _check_prime_table(n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
     return primes_in(2, n)
+
+
+def _check_prime_table(n: int) -> None:
+    if n > TABLE_BUDGET:
+        raise ResourceError(f"prime table up to {n} exceeds the budget of {TABLE_BUDGET}")
 
 
 _base_table = (0, np.empty(0, dtype=np.int64))
@@ -102,6 +106,18 @@ def _base_primes(limit: int) -> np.ndarray:
         table.flags.writeable = False
         _base_table = (grown, table)
     return table[: int(np.searchsorted(table, limit, side="right"))]
+
+
+def ascending_primes() -> Iterator[int]:
+    """2, 3, 5, 7, ... as Python ints, read off the base-prime table at
+    doubling limits; a limit past TABLE_BUDGET raises primes_upto's
+    ResourceError."""
+    done, limit = 0, 64
+    while True:
+        _check_prime_table(limit)
+        primes = _base_primes(limit)
+        yield from primes[done:].tolist()
+        done, limit = primes.size, 2 * limit
 
 
 def _strike(mask: np.ndarray, lo: int, moduli: np.ndarray, floors: np.ndarray) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qrstats.arith import is_perfect_square, jacobi, jacobi_many, legendre_euler, powmod
+from qrstats.arith import is_perfect_square, jacobi, jacobi_many, legendre_euler
 from qrstats.errors import InvalidModulusError
 
 from oracles import jacobi_by_factorization, legendre_by_squares
@@ -151,31 +151,6 @@ def test_legendre_euler_matches_squares_oracle(odd_primes_300):
 def test_legendre_euler_rejects_even_modulus():
     with pytest.raises(InvalidModulusError):
         legendre_euler(3, 8)
-
-
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=0, max_value=10**4),
-    st.integers(min_value=1, max_value=10**6),
-)
-def test_powmod_matches_builtin(base, exp, modulus):
-    assert powmod(base, exp, modulus) == pow(base, exp, modulus)
-
-
-def test_powmod_large_operands_are_exact():
-    base = 3**50
-    exp = 10**6
-    modulus = 2**61 - 1
-    assert powmod(base, exp, modulus) == pow(base, exp, modulus)
-
-
-def test_powmod_rejects_bad_arguments():
-    with pytest.raises(InvalidModulusError):
-        powmod(2, 3, 0)
-    with pytest.raises(ValueError):
-        powmod(-2, 3, 5)
-    with pytest.raises(ValueError):
-        powmod(2, -3, 5)
 
 
 def test_is_perfect_square_near_float_precision():

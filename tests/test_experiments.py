@@ -18,7 +18,6 @@ from qrstats.experiments import (
     check_exceptional,
     check_trace,
     erdos_constant,
-    erdos_constant_partial,
     erdos_mean,
     erdos_mean_curve,
     exceptional_blocks,
@@ -40,14 +39,34 @@ import oracles
 
 def test_erdos_constant():
     assert erdos_constant() == 3.6746439660109136
+    for bad in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            erdos_constant(bad)
 
 
 def test_erdos_constant_partial():
-    assert erdos_constant_partial(1) == 1.0
-    assert erdos_constant_partial(5) == 3.15625
-    assert abs(erdos_constant_partial(60) - erdos_constant()) < 1e-9
-    with pytest.raises(ParameterError):
-        erdos_constant_partial(0)
+    # partial sums of the series, summed apart from the package: all terms
+    # are positive, so they climb to the constant, and 60 terms reach it
+    primes = oracles.eratosthenes(300).tolist()[:60]
+    partial = [math.fsum(p / 2.0**k for k, p in enumerate(primes[:n], start=1)) for n in (1, 5, 60)]
+    assert partial[:2] == [1.0, 3.15625]
+    assert all(s < erdos_constant() for s in partial[:2])
+    assert abs(partial[2] - erdos_constant()) < 1e-9
+
+
+def test_erdos_constant_stops_at_its_tail_bound():
+    # the sum runs until the tail after p_k, at most p_k / 2**(k-1), is
+    # below the bound; the same loop over an independent prime list
+    primes = oracles.eratosthenes(10**4).tolist()
+    for bound in (1.0, 1e-3, 1e-6, 1e-12, 1e-300):
+        total = 0.0
+        for k, p in enumerate(primes, start=1):
+            total += p / 2.0**k
+            if p / 2.0 ** (k - 1) < bound:
+                break
+        else:
+            raise AssertionError("prime list too short")
+        assert erdos_constant(bound) == total, bound
 
 
 def test_erdos_mean_small():

@@ -77,6 +77,20 @@ def test_least_nonresidue_known_values():
     assert least_nonresidue(311) == 11
 
 
+def test_one_prime_calls_validate_like_batch_scans():
+    for bad in (4, 1, -3, 2):
+        with pytest.raises(ParameterError, match=f"^need an odd p >= 3, got {bad}$"):
+            least_nonresidue(bad)
+        with pytest.raises(ParameterError, match=f"^need an odd p >= 3, got {bad}$"):
+            first_nonresidue_after(bad, 0)
+    with pytest.raises(ParameterError):
+        first_nonresidue_after(7, -1)
+    with pytest.raises(ScanError, match=r"^no non-residue found below 9; is p=9 prime\?$"):
+        least_nonresidue(9)
+    with pytest.raises(ScanError, match=r"^no non-residue within 25 steps after u=3; is p=25 prime\?$"):
+        first_nonresidue_after(25, 3)
+
+
 @given(small_primes)
 def test_least_nonresidue_matches_oracle_scan(p):
     expect = next(n for n in range(2, p) if legendre_by_squares(n, p) == -1)
@@ -169,18 +183,38 @@ def test_first_nonresidues_after_matches_scalar(u, cap):
     assert first_nonresidues_after(P, u, cap).tolist() == want
 
 
-def test_batched_scans_validate_like_scalar():
+def test_batched_scans_validate_like_scalar(monkeypatch):
     with pytest.raises(ParameterError):
         least_nonresidues(np.array([7, 4]))
     with pytest.raises(ParameterError):
         least_nonresidues(np.array([1]))
+    with pytest.raises(ParameterError, match="got 4$"):
+        least_nonresidues([2**70 + 1, 4])
     with pytest.raises(ParameterError):
         first_nonresidues_after(np.array([7]), -1)
-    with pytest.raises(ScanError):
-        least_nonresidues(np.array([7, 9]))
-    with pytest.raises(ScanError):
-        first_nonresidues_after(np.array([25]), 3)
     assert least_nonresidues(np.array([], dtype=np.int64)).size == 0
+    # every lane through numpy steps, then every lane through the scalar
+    # jacobi: both routes give the oracle's values and the same errors
+    P = primes_in(3, 10**5)
+    least = [oracles.least_nonresidue(p) for p in P.tolist()]
+    Q = primes_in(3, 3000)
+    big = 2**64 - 59  # the largest prime below 2**64
+    first = {u: [oracles.first_nonresidue_after(p, u) for p in Q.tolist()] for u in (0, 12345, 2**64 + 5, 3**50)}
+    for lanes in (0, 10**9):
+        monkeypatch.setattr(residue_scan, "_SCALAR_LANES", lanes)
+        assert least_nonresidues(P).tolist() == least
+        for u, want in first.items():
+            for cap in (None, 1, 7, 40):
+                got = first_nonresidues_after(Q, u, cap).tolist()
+                assert got == [h if cap is None else min(h, cap + 1) for h in want], (lanes, u, cap)
+        assert least_nonresidues([big]).tolist() == [oracles.least_nonresidue(big)]
+        for u in (0, 2**70):
+            assert first_nonresidues_after([big, 7], u).tolist() == [
+                oracles.first_nonresidue_after(big, u), oracles.first_nonresidue_after(7, u)]
+        with pytest.raises(ScanError, match=r"^no non-residue found below 9; is p=9 prime\?$"):
+            least_nonresidues(np.array([7, 9]))
+        with pytest.raises(ScanError, match=r"^no non-residue within 25 steps after u=3; is p=25 prime\?$"):
+            first_nonresidues_after(np.array([25]), 3)
 
 
 def test_longest_qr_run_small_values():

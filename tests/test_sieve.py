@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from qrstats.experiments import exceptional_blocks
 from qrstats.sieve import (
     EULER_GAMMA,
     SEGMENT,
+    ascending_primes,
     check_eta,
     check_range,
     check_rough,
@@ -53,6 +55,27 @@ def test_primes_upto_budget(monkeypatch):
     with pytest.raises(ResourceError):
         primes_upto(1001)
     assert np.array_equal(primes_upto(1000), eratosthenes(1000))
+
+
+def test_ascending_primes_matches_eratosthenes(monkeypatch):
+    want = eratosthenes(104729).tolist()  # the first 10,000 primes
+    monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    got = list(itertools.islice(ascending_primes(), 10_000))
+    assert got == want and all(type(p) is int for p in got)
+    # a table already built past the doubling limits changes nothing
+    sieve._base_primes(10**6)
+    assert list(itertools.islice(ascending_primes(), 10_000)) == want
+
+
+def test_ascending_primes_budget(monkeypatch):
+    monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
+    got = []
+    # limits 64, 128, ..., 512 pass; 1024 is past the budget
+    with pytest.raises(ResourceError, match="^prime table up to 1024 exceeds the budget of 1000$"):
+        for p in ascending_primes():
+            got.append(p)
+    assert got == eratosthenes(512).tolist()
 
 
 def test_primes_in_small_ranges():
