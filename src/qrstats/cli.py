@@ -46,6 +46,7 @@ from .charsums import (
     rough_partition,
 )
 from .errors import QRStatsError, ResourceError
+from .experiments import _PRIME_CHUNK, _map_chunks, _scan_primes
 from .experiments import (
     ExceptionalState,
     check_erdos,
@@ -386,7 +387,8 @@ def _run_nres(config: RunConfig):
 def _run_dp(config: RunConfig):
     convention = "zero_as_residue" if config.zero_as_residue else "zero_excluded"
     primes = _primes(config.params)
-    runs = [longest_qr_run(q, config.zero_as_residue) for q in primes.tolist()]
+    args = (primes.tolist(), _PRIME_CHUNK, config.workers, longest_qr_run, config.zero_as_residue)
+    runs = list(_map_chunks(_scan_primes, *args))
     return table(["p", "d_p", "convention"], primes, runs, [convention] * len(runs)), {}
 
 
@@ -426,10 +428,12 @@ def _run_gaps(config: RunConfig):
         n = stats.deltas.size
         columns = np.broadcast_to(p["p"], n), np.arange(1, n + 1), stats.n_seq[:n], stats.deltas
         return table(["p", "k", "n_k", "delta_k"], *columns), {}
-    h = p["h"] if p["h"] is not None else h_quarter_power
-    summary = gap_tail_scan(_primes(p).tolist(), h, config.workers)
-    extra = {"max_c1": summary.max_c1, "max_c2": summary.max_c2}
-    return table(["p", "h", "N_h", "S_h", "c1", "c2"], *zip(*summary.rows)), extra
+    header = ["p", "h", "N_h", "S_h", "c1", "c2"]
+    primes = _primes(p).tolist()
+    if not primes:  # a header-only table, as dp and nres give
+        return table(header), {}
+    summary = gap_tail_scan(primes, p["h"] if p["h"] is not None else h_quarter_power, config.workers)
+    return table(header, *zip(*summary.rows)), {"max_c1": summary.max_c1, "max_c2": summary.max_c2}
 
 
 def _charsum_params(ns) -> dict[str, Any]:

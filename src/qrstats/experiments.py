@@ -5,19 +5,19 @@ windowed first non-residues, gap-tail scaling, square-free pair density,
 and a full numeric trace of the bound chain that controls the
 exceptional count.
 
-Concurrency model: a prime range is cut into fixed contiguous blocks of
-2**16 integers.  The block partition depends only on the range, never on
-the worker count, and it is the unit of merging and of checkpoints.  A
-task is a run of consecutive blocks, at most 2**20 integers, with at
-least two runs per worker while there are blocks to split: it sieves
-its run once, makes one kernel pass over all of its primes, and splits
-the result back into per-block partials.  Each command makes one
-_map_blocks pass over its runs, so it forks at most one pool, and the
-parent merges the partials block by block.  An exceptional scan over
-several u scans every u on the primes of each run.  Output is therefore
-bit-identical for one worker and for fifty.  All scalar merges are plain
-integer sums, and witness lists concatenate in block order, so nothing
-here depends on scheduling.
+Concurrency model: every pool scan is one _map_chunks pass.  It cuts
+its work items into chunks (at most a cap each, at least two per worker
+while there are items to split), maps them serially or through one fork
+pool of at most one process per chunk, and yields per-item results in
+item order.  The erdos and exceptional scans chunk a fixed partition of
+the range into blocks of 2**16 integers, independent of the worker count
+and the unit of merging and of checkpoints: a chunk is a run of at most
+2**20 integers, sieved once and scanned in one kernel pass, whose result
+is split back into per-block partials; an exceptional scan over several
+u scans every u on the primes of each run.  Per-prime table scans (gap
+tails, and the cli's longest runs) chunk primes through _scan_primes.
+Output is therefore bit-identical for one worker and for fifty: merges
+are plain integer sums and witness lists concatenate in block order.
 
 This module performs no file or network I/O; the cli module owns
 serialization and checkpoint files.
@@ -54,7 +54,7 @@ RUN_SPAN = 1 << 20
 WITNESS_CAP = 1000
 ERDOS_X_BUDGET = 10**8
 
-_GAP_CHUNK = 64
+_PRIME_CHUNK = 64
 
 
 def _blocks(lo: int, hi: int, edges: Sequence[int] = ()) -> list[tuple[int, int]]:
@@ -71,41 +71,36 @@ def _blocks(lo: int, hi: int, edges: Sequence[int] = ()) -> list[tuple[int, int]
     return out
 
 
-def _check_workers(workers: int) -> None:
+def _map_chunks(fn, items: Sequence, cap: int, workers: int, *extra) -> Iterator:
+    """Yield one result per item, in item order.
+
+    The items are cut into chunks of consecutive items, at most cap each
+    and at least two per worker while there are items to split;
+    fn((chunk, *extra)) returns the list of the chunk's per-item results.
+    With workers > 1 a fork pool of at most one process per chunk maps
+    the chunks, consumed in submission order (imap), so the caller sees
+    exactly the sequence a serial run would produce.  The cut changes
+    only how the work is shared, never a result.
+    """
     if workers < 1:
         raise ParameterError(f"need workers >= 1, got {workers}")
-
-
-def _map_blocks(fn, argss: list, workers: int) -> Iterator:
-    """Yield fn(args) for every args tuple, in submission order.
-
-    With workers > 1 a fork pool evaluates tasks concurrently, but
-    results are consumed in submission order (imap), so the caller sees
-    exactly the sequence a serial run would produce.
-    """
-    _check_workers(workers)
+    size = max(1, min(cap, len(items) // (2 * workers)))
+    argss = [(items[i : i + size], *extra) for i in range(0, len(items), size)]
     if workers > 1 and len(argss) > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            yield from pool.imap(fn, argss)
+        with ctx.Pool(processes=min(workers, len(argss))) as pool:
+            for results in pool.imap(fn, argss):
+                yield from results
     else:
-        yield from map(fn, argss)
+        for results in map(fn, argss):
+            yield from results
 
 
-def _map_runs(fn, blocks: list[tuple[int, int]], workers: int, *extra) -> Iterator:
-    """Yield one partial per block, in block order.
-
-    The blocks are grouped into runs of consecutive blocks, at most
-    RUN_SPAN integers each and at least two runs per worker while there
-    are blocks to split; fn((run, *extra)) scans one run and returns the
-    list of its per-block partials.  The grouping changes only how the
-    work is cut, never a partial.
-    """
-    _check_workers(workers)
-    size = max(1, min(RUN_SPAN // BLOCK_SPAN, len(blocks) // (2 * workers)))
-    argss = [(blocks[i : i + size], *extra) for i in range(0, len(blocks), size)]
-    for partials in _map_blocks(fn, argss, workers):
-        yield from partials
+def _scan_primes(args: tuple) -> list:
+    """fn(p, *extra) for each prime p of a chunk: the per-prime task of
+    _map_chunks, with chunks of at most _PRIME_CHUNK primes."""
+    chunk, fn, *extra = args
+    return [fn(p, *extra) for p in chunk]
 
 
 def _block_ends(values: np.ndarray, run: list[tuple[int, int]]) -> np.ndarray:
@@ -172,7 +167,7 @@ def erdos_mean_curve(xs: Sequence[int], workers: int = 1) -> list[ErdosMean]:
     points = sorted({int(x) for x in xs})
     check_erdos(points)
     blocks = _blocks(3, points[-1], edges=points)
-    results = _map_runs(_scan_erdos_block, blocks, workers)
+    results = _map_chunks(_scan_erdos_block, blocks, RUN_SPAN // BLOCK_SPAN, workers)
     constant = erdos_constant()
     out = []
     count = 0
@@ -403,7 +398,8 @@ def exceptional_density_sweep(
     total, done = state.total, state.next_block
     totals = [_Totals(hs, witness_cap, *resumed)] + [_Totals(hs, witness_cap) for _ in us[1:]]
     args = (tuple(us), hs, witness_cap)
-    for block_total, tallies in _map_runs(_scan_exceptional_block, blocks[done:], workers, *args):
+    partials = _map_chunks(_scan_exceptional_block, blocks[done:], RUN_SPAN // BLOCK_SPAN, workers, *args)
+    for block_total, tallies in partials:
         total += block_total
         for merged, tally in zip(totals, tallies):
             merged.add(tally)
@@ -445,15 +441,11 @@ def h_quarter_power(p: int) -> int:
     return math.ceil(p**0.25)
 
 
-def _scan_gap_chunk(args: tuple[tuple[int, ...], object]) -> list[GapTailRow]:
-    ps, h = args
-    rows = []
-    for p in ps:
-        hp = h(p) if callable(h) else int(h)
-        n_h, s_h = _gap_tail_of(p, hp)
-        root = math.sqrt(p)
-        rows.append(GapTailRow(p, hp, n_h, s_h, n_h * hp * hp / root, s_h * hp / root))
-    return rows
+def _gap_tail_row(p: int, h) -> GapTailRow:
+    hp = h(p) if callable(h) else int(h)
+    n_h, s_h = _gap_tail_of(p, hp)
+    root = math.sqrt(p)
+    return GapTailRow(p, hp, n_h, s_h, n_h * hp * hp / root, s_h * hp / root)
 
 
 def gap_tail_scan(p_list: Sequence[int], h, workers: int = 1) -> GapTailSummary:
@@ -470,10 +462,8 @@ def gap_tail_scan(p_list: Sequence[int], h, workers: int = 1) -> GapTailSummary:
     for p in ps:
         if p < 3 or p % 2 == 0:
             raise ParameterError(f"need odd primes >= 3, got {p}")
-    chunks = [tuple(ps[i : i + _GAP_CHUNK]) for i in range(0, len(ps), _GAP_CHUNK)]
-    argss = [(chunk, h) for chunk in chunks]
-    rows = [row for chunk_rows in _map_blocks(_scan_gap_chunk, argss, workers) for row in chunk_rows]
-    return GapTailSummary(tuple(rows), max(r.c1 for r in rows), max(r.c2 for r in rows))
+    rows = tuple(_map_chunks(_scan_primes, ps, _PRIME_CHUNK, workers, _gap_tail_row, h))
+    return GapTailSummary(rows, max(r.c1 for r in rows), max(r.c2 for r in rows))
 
 
 # --- Square-free pair density --------------------------------------------

@@ -261,6 +261,50 @@ def test_gaps_tail_range(capsys):
     assert rows[1].startswith("3,2,")
 
 
+def test_gaps_tail_empty_range_is_a_header_only_table(capsys):
+    # [24, 28] holds no odd prime: gaps --tail prints the header, like dp
+    # and nres, and no max_c1/max_c2 summary
+    args = ("--lo", "24", "--hi", "28")
+    code, out, _ = run_cli(capsys, "gaps", *args, "--tail", "--h", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "p,h,N_h,S_h,c1,c2"
+    assert "max_c" not in out
+    code, out, _ = run_cli(capsys, "gaps", *args, "--tail", "--h", "3", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["rows"] == [] and "summary" not in doc["meta"]
+    _, dp_out, _ = run_cli(capsys, "dp", *args, "--format", "json")
+    assert json.loads(dp_out)["rows"] == []
+
+
+def test_dp_calls_longest_qr_run_once_per_prime(capsys, monkeypatch):
+    # dp goes through the chunk engine by cli's own reference, so a spy
+    # (or the bench tracer) sees every call at 1 worker
+    calls = []
+
+    def spy(p, zero_as_residue=True):
+        calls.append(p)
+        return residue_scan.longest_qr_run(p, zero_as_residue)
+
+    want = run_cli(capsys, "dp", "--lo", "1000000", "--hi", "1002000")
+    monkeypatch.setattr(cli, "longest_qr_run", spy)
+    assert run_cli(capsys, "dp", "--lo", "1000000", "--hi", "1002000", "--workers", "1") == want
+    assert calls == primes_in(1000000, 1002000).tolist() and len(calls) == 152
+
+
+def test_dp_allocates_nothing_p_sized_once_warm():
+    config = parse_args(["dp", "--lo", "1000000", "--hi", "1002000"])
+    cli._run_dp(config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._run_dp(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel's marks alone are 1 MB near p = 10**6
+    assert peak - before < 512 * 1024
+
+
 def test_erdos_csv_row(capsys):
     _, out, _ = run_cli(capsys, "erdos", "--x", "10")
     rows = [l for l in out.splitlines() if not l.startswith("#")]
@@ -663,6 +707,8 @@ GOLDEN = [
      "d23d4d810d698ebaba703d4eb36544bf0e5fa0ed35ac69a57d847cae34741dc4"),
     ("dp --lo 3 --hi 80 --zero-as-residue false --format json",
      "5fc58faa3e42a430bbf5c87d187f60639ca6502fda3a320471141589e840b45c"),
+    ("dp --lo 100000 --hi 102000 --format csv", "bed90fbfc28d0f99de6a5a8d9fd673de5bbf1f8aa3fd48a169cca1607481997b"),
+    ("dp --lo 100000 --hi 102000 --format json", "c998bdabd5376593cd82c8aa010f73cd8cb3faf6ff909fe59a1e9c251063516d"),
     ("dup --p 11 --u 2 --format csv", "3526b47f347e2d4dfc123840d67f1e0240cedec3e5384bd14b1966f4bdc59788"),
     ("dup --p 11 --u 2 --format json", "6ff66b78d7a83a3649fe393e8bd21c8f832b504097b012444f313b73e6891cca"),
     ("gaps --p 31 --format csv", "fa382aecde66d2c3a70576108650b894a7ad1c77757d90e887470dce81f55802"),
@@ -711,9 +757,9 @@ GOLDEN = [
 
 def _golden_runs():
     """Every command at 1 and 2 workers; the pool commands (exceptional,
-    erdos, gaps --tail) and trace at 8 as well."""
+    erdos, dp, gaps --tail) and trace at 8 as well."""
     for command, digest in GOLDEN:
-        pool = command.split()[0] in ("exceptional", "erdos", "trace") or "--tail" in command
+        pool = command.split()[0] in ("exceptional", "erdos", "dp", "trace") or "--tail" in command
         for workers in ("1", "2", "8") if pool else ("1", "2"):
             yield pytest.param(command, digest, workers, id=f"{command}-{workers}")
 

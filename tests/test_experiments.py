@@ -1,5 +1,7 @@
+import contextlib
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -93,6 +95,52 @@ def test_erdos_curve_worker_invariant():
     a = erdos_mean_curve([10**3, 10**4], workers=1)
     b = erdos_mean_curve([10**3, 10**4], workers=3)
     assert [(r.x, r.primes, r.mean) for r in a] == [(r.x, r.primes, r.mean) for r in b]
+
+
+class _SpyContext:
+    """A fork context whose Pool records its process count and maps in
+    the calling process, so nothing is started."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return contextlib.nullcontext(types.SimpleNamespace(imap=map))
+
+
+def test_map_chunks_pool_has_at_most_one_process_per_chunk(monkeypatch):
+    spy = _SpyContext()
+    monkeypatch.setattr(experiments, "multiprocessing", types.SimpleNamespace(get_context=lambda method: spy))
+    # erdos at x = 10**6 has 16 blocks, cut into 16 runs at 64 workers
+    want = erdos_mean_curve([10**6])
+    assert erdos_mean_curve([10**6], workers=64) == want and spy.processes == [16]
+    ps = [11, 13, 17, 19, 23]
+    assert gap_tail_scan(ps, 2, workers=8) == gap_tail_scan(ps, 2) and spy.processes == [16, 5]
+    # one chunk needs no pool
+    assert gap_tail_scan([11], 2, workers=8) == gap_tail_scan([11], 2) and spy.processes == [16, 5]
+    with pytest.raises(ParameterError):
+        gap_tail_scan(ps, 2, workers=0)
+
+
+@pytest.mark.parametrize("items, cap, workers, sizes", [
+    (range(10), 4, 1, [4, 4, 2]),
+    (range(10), 4, 2, [2, 2, 2, 2, 2]),
+    (range(3), 64, 8, [1, 1, 1]),
+    (range(0), 16, 2, []),
+])
+def test_map_chunks_cuts_and_keeps_item_order(monkeypatch, items, cap, workers, sizes):
+    spy = _SpyContext()
+    monkeypatch.setattr(experiments, "multiprocessing", types.SimpleNamespace(get_context=lambda method: spy))
+    seen = []
+
+    def fn(args):
+        chunk, tag = args
+        seen.append(len(chunk))
+        return [(tag, item) for item in chunk]
+
+    assert list(experiments._map_chunks(fn, items, cap, workers, "t")) == [("t", i) for i in items]
+    assert seen == sizes
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])

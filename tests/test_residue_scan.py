@@ -10,7 +10,7 @@ from qrstats import residue_scan
 from qrstats.arith import jacobi, jacobi_many
 from qrstats.charsums import incomplete_char_sum, rough_partition
 from qrstats.errors import FactorizationError, ParameterError, ResourceError, ScanError
-from qrstats.experiments import _scan_gap_chunk, proof_trace
+from qrstats.experiments import _gap_tail_row, proof_trace
 from qrstats.residue_scan import (
     _KERNEL,
     _fixed_modulus,
@@ -262,7 +262,7 @@ def test_kernel_tables_match_oracles_in_any_order():
             assert rm.packed.tobytes() == np.packbits(want).tobytes()
             assert longest_qr_run(p, flag) == longest_run_brute(p, flag)
         for h in (1, 2, 5, 9):
-            assert _scan_gap_chunk(((p,), h))[0][2:4] == gap_tail(gs, h)
+            assert _gap_tail_row(p, h)[2:4] == gap_tail(gs, h)
 
 
 def test_gap_stats_never_aliases_the_kernel():
@@ -273,7 +273,8 @@ def test_gap_stats_never_aliases_the_kernel():
         longest_qr_run(p)
         longest_qr_run(p, zero_as_residue=False)
         residue_map(p)
-        _scan_gap_chunk(((p, 10037), 4))
+        _gap_tail_row(p, 4)
+        _gap_tail_row(10037, 4)
     assert np.array_equal(gs.n_seq, n_seq)
     assert np.array_equal(gs.deltas, deltas)
     for buffer in (_KERNEL.marks, _KERNEL.nonres):
