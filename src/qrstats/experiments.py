@@ -437,8 +437,9 @@ class GapTailSummary:
 
 
 def h_quarter_power(p: int) -> int:
-    """ceil(p**(1/4)), the default window rule for tail scans."""
-    return math.ceil(p**0.25)
+    """ceil(p**(1/4)), exactly, the default window rule for tail scans."""
+    r = math.isqrt(math.isqrt(p))
+    return r + (r**4 < p)
 
 
 def _gap_tail_row(p: int, h) -> GapTailRow:
@@ -552,13 +553,18 @@ def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, li
 
 
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
-    """Preconditions of proof_trace that need no sieve: check_exceptional
-    for the one h, h < Q and 0 < eta < 1.  proof_trace itself checks the
-    bounds on (2Q)**eta, which take rough_threshold to evaluate."""
+    """Preconditions of proof_trace: check_exceptional for the one h,
+    h < Q, 0 < eta < 1 and 2 <= (2Q)**eta < Q, the last read off
+    rough_threshold."""
     check_exceptional(Q, u, [h])
     if h >= Q:
         raise ParameterError(f"need h < Q for the one-multiple-per-window bound, got h={h}, Q={Q}")
     check_eta(eta)
+    cutoff = rough_threshold(eta, 2 * Q)
+    if cutoff >= Q:
+        raise ParameterError(f"(2Q)**eta must stay below Q for eta={eta}, Q={Q}")
+    if cutoff < 2:
+        raise ParameterError(f"(2Q)**eta must reach 2 so the extension set is odd, got eta={eta}, Q={Q}")
 
 
 def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
@@ -577,13 +583,6 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     """
     check_trace(Q, u, h, eta)
     M = 2 * Q
-    cutoff = rough_threshold(eta, M)
-    if cutoff >= Q:
-        raise ParameterError(f"(2Q)**eta must stay below Q for eta={eta}, Q={Q}")
-    if cutoff < 2:
-        raise ParameterError(
-            f"(2Q)**eta must reach 2 so the extension set is odd, got eta={eta}, Q={Q}"
-        )
     notes = [f"extension set P(eta, M) uses M = 2Q = {M}"]
     if u < 3:
         regime = "large-h"

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -234,26 +235,6 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-def _int_nth_root(x: int, n: int) -> int:
-    """Largest integer r with r**n <= x, for x >= 0 and n >= 1, by Newton iteration."""
-    if x == 0 or n == 1:
-        return x
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        nr = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nr >= r:
-            break
-        r = nr
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
-
-
-_EXACT_DENOM_LIMIT = 1 << 12
-
-
 def check_eta(eta: float) -> None:
     """The rough-set exponent must satisfy 0 < eta < 1."""
     if not 0.0 < eta < 1.0:
@@ -264,32 +245,49 @@ def rough_threshold(eta: float, M: int) -> int:
     """Largest integer t with t <= M**eta, where eta is taken at its exact
     binary64 value.
 
-    The float eta is a dyadic rational a / 2**s.  When 2**s is small the
-    comparison t**(2**s) <= M**a is settled in exact integer arithmetic.
-    Otherwise M**eta is evaluated with mpmath at escalating precision
-    until the floor is unambiguous; an exact tie in that branch would
-    force M to be a perfect 2**s-th power with s > 12, which no M below
-    2**64 can be, so the escalation always terminates.
+    A decimal estimate of M**eta, at a few digits more than M has, lies
+    within a step or two of the answer; the walk from it to the largest
+    t that passes _at_most_power settles every comparison exactly.
     """
     check_eta(eta)
     if M < 1:
         raise ParameterError(f"need M >= 1, got {M}")
-    num, den = float(eta).as_integer_ratio()
-    if den <= _EXACT_DENOM_LIMIT:
-        return _int_nth_root(M**num, den)
-    import mpmath
+    eta = float(eta)
+    with localcontext() as ctx:
+        ctx.prec = Decimal(M).adjusted() + 10
+        t = int((Decimal(eta) * Decimal(M).ln()).exp())
+    while not _at_most_power(t, eta, M):
+        t -= 1
+    while _at_most_power(t + 1, eta, M):
+        t += 1
+    return t
 
-    prec = 128
-    while prec <= 1 << 20:
-        with mpmath.workprec(prec):
-            t = mpmath.power(M, mpmath.mpf(eta))
-            margin = t * mpmath.mpf(2) ** (16 - prec)
-            lo = mpmath.floor(t - margin)
-            hi = mpmath.floor(t + margin)
-            if lo == hi:
-                return int(lo)
-        prec *= 2
-    raise ArithmeticError(f"threshold M**eta would not stabilize for eta={eta}, M={M}")
+
+def _at_most_power(t: int, eta: float, M: int) -> bool:
+    """Whether t <= M**eta exactly, for integers t and M >= 1.
+
+    The sign of eta*ln M - ln t is read from decimal, with eta exact, at
+    doubling precision.  At prec digits every ln, product and difference
+    is rounded within one unit of its last digit, so the computed
+    difference is within (ln M + 1) * 10**(2 - prec) of the true one.  A
+    difference inside that bound can be an exact tie only if t**den ==
+    M**num for eta = num / den in lowest terms, which makes M a perfect
+    den-th power, so den <= M.bit_length() when t >= 2; only then are the
+    integers compared.
+    """
+    if t < 2:
+        return True
+    num, den = eta.as_integer_ratio()
+    with localcontext() as ctx:
+        ctx.prec = Decimal(M).adjusted() + 10
+        while True:
+            log_m = Decimal(M).ln()
+            diff = Decimal(eta) * log_m - Decimal(t).ln()
+            if abs(diff) > (log_m + 1).scaleb(2 - ctx.prec):
+                return diff > 0
+            if den <= M.bit_length():
+                return t**den <= M**num
+            ctx.prec *= 2
 
 
 @dataclass(frozen=True, eq=False)

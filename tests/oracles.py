@@ -8,6 +8,7 @@ import json
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 
@@ -96,6 +97,24 @@ def is_squarefree_slow(n: int) -> bool:
         if e > 1:
             return False
     return True
+
+
+def power_floor(eta: float, M: int) -> int:
+    """floor(M**eta) for eta at its exact binary64 value, by mpmath at
+    escalating precision until the floors on either side of the error
+    margin agree.  An exact tie never separates them, so callers keep to
+    the (eta, M) where none can occur: M >= 2 and the denominator of eta
+    at least M.bit_length()."""
+    prec = 128
+    while prec <= 1 << 20:
+        with mpmath.workprec(prec):
+            t = mpmath.power(M, mpmath.mpf(eta))
+            margin = t * mpmath.mpf(2) ** (16 - prec)
+            lo = mpmath.floor(t - margin)
+            if lo == mpmath.floor(t + margin):
+                return int(lo)
+        prec *= 2
+    raise ArithmeticError(f"M**eta would not stabilize for eta={eta}, M={M}")
 
 
 def classify_residue(n: int, p: int, zero_as_residue: bool) -> bool:

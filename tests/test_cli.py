@@ -127,6 +127,10 @@ def test_parse_zero_as_residue_flag():
         ["crt", "--pairs", "18446744073709551557:1,18446744073709551533:2"],
         ["exceptional", "--q", "-5", "--u", "0", "--h-multiples", "2"],
         ["exceptional", "--q", "10", "--u", "0", "--h-multiples", "3000000"],
+        # (2Q)**eta below 2, twice, and at least Q
+        ["trace", "--q", "1000", "--u", "0", "--h", "12", "--eta", "0.08"],
+        ["trace", "--q", "100", "--u", "25", "--h", "2", "--eta", "1e-300"],
+        ["trace", "--q", "10", "--u", "100", "--h", "2", "--eta", "0.9"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -772,12 +776,11 @@ def test_golden_output_digest(capsys, command, digest, workers):
 
 
 def test_computation_error_exits_2(capsys):
-    code, out, err = run_cli(capsys, "trace", "--q", "1000", "--u", "0", "--h", "12", "--eta", "0.08")
+    # the square-free window [1, 2] leaves a one-member set
+    code, out, err = run_cli(capsys, "trace", "--q", "100", "--u", "0", "--h", "2", "--eta", "0.3")
     assert code == 2
     assert out == ""
     assert err.startswith("qrstats: error:")
-    code, out, _ = run_cli(capsys, "trace", "--q", "100", "--u", "0", "--h", "2", "--eta", "0.3")
-    assert code == 2 and out == ""
 
 
 # --- checkpointing -------------------------------------------------------

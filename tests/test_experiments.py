@@ -355,6 +355,12 @@ def test_h_quarter_power():
     assert h_quarter_power(11) == 2
     assert h_quarter_power(10**4) == 10
     assert h_quarter_power(10**4 + 1) == 11
+    # p**0.25 rounds 10**20 + 1 down to exactly 10**5
+    assert h_quarter_power(10**20 + 1) == 10**5 + 1
+    for k in range(2, 10**5, 97):
+        for p in (k**4 - 1, k**4, k**4 + 1):
+            h = h_quarter_power(p)
+            assert (h - 1) ** 4 < p <= h**4
 
 
 def test_gap_tail_scan_validation():
@@ -525,14 +531,15 @@ def test_q_range_budget_before_blocks(monkeypatch):
 
 
 def test_check_trace_raises_like_proof_trace():
+    # the last three break 2 <= (2Q)**eta < Q
     for args in [(9, 0, 2, 0.3), (1000, -1, 12, 0.15), (1000, 0, 0, 0.15), (1000, 0, 1000, 0.15),
-                 (1000, 0, 12, 1.5), (1000, 0, 12, 0.0)]:
+                 (1000, 0, 12, 1.5), (1000, 0, 12, 0.0), (1000, 0, 12, 0.08), (100, 25, 2, 1e-300),
+                 (10, 100, 2, 0.9)]:
         with pytest.raises(ParameterError):
             check_trace(*args)
         with pytest.raises(ParameterError):
             proof_trace(*args)
-    # the (2Q)**eta bounds need rough_threshold and stay with proof_trace
-    check_trace(1000, 0, 12, 0.08)
+    check_trace(1000, 0, 12, 0.15)
 
 
 def test_h_multiples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qrstats import sieve
 from qrstats.errors import FactorizationError, ParameterError, RangeError, ResourceError
@@ -32,7 +32,7 @@ from qrstats.sieve import (
     squarefree_in_interval,
 )
 
-from oracles import eratosthenes, factorize, is_squarefree_slow, trial_primes
+from oracles import eratosthenes, factorize, is_squarefree_slow, power_floor, trial_primes
 
 
 def test_primes_upto_matches_trial_division():
@@ -180,10 +180,12 @@ def test_rough_threshold_exact_dyadic_cases():
 
 
 def test_rough_threshold_float_path_cases():
-    # denominators of these eta values are far past the exact-power cap
+    # these eta have denominators 2**53 and more, so no tie can occur
     assert rough_threshold(0.1, 200000) == 3
     assert rough_threshold(0.3, 1000) == 7
     assert rough_threshold(0.9, 100) == 63
+    # 1**eta == 1 is a tie at every eta
+    assert rough_threshold(0.1, 1) == 1
 
 
 @given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=2, max_value=10**6))
@@ -195,6 +197,41 @@ def test_rough_threshold_brackets_the_power(eta, M):
     power = M**eta
     assert t <= power * (1 + 1e-12)
     assert (t + 1) > power * (1 - 1e-12)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.integers(min_value=2, max_value=2 * 10**9))
+@settings(max_examples=300, deadline=None)
+def test_rough_threshold_matches_mpmath(eta, M):
+    # a denominator of at least M.bit_length() rules out an exact tie,
+    # which the escalation could not settle; ties are checked below
+    assume(eta.as_integer_ratio()[1] >= M.bit_length())
+    assert rough_threshold(eta, M) == power_floor(eta, M)
+
+
+def test_rough_threshold_exact_at_ties():
+    for den in (2, 4, 8, 16, 32, 64):
+        for num in range(1, den, 2):
+            for r in (2, 3, 10):
+                for M in (r**den - 1, r**den, r**den + 1):
+                    t = rough_threshold(num / den, M)
+                    assert t**den <= M**num < (t + 1) ** den
+
+
+def test_rough_threshold_large_cases():
+    # pinned from the Newton-root and mpmath evaluation this replaced
+    assert rough_threshold(0.1, 10**400) == 10**40 + 51127659728013065583315198
+    assert rough_threshold(0.5, 10**400) == 10**200
+    assert rough_threshold(0.3, 3**1000 + 1) == int(
+        "13689147905858670631957952351225844017031014339260044534601095703368672401467613981837"
+        "8048655067265688572761607765783512504032481175135173337315"
+    )
+    assert rough_threshold(0.5, 2**128) == 2**64
+    assert rough_threshold(0.5, 2**128 - 1) == 2**64 - 1
+    assert rough_threshold(0.7, 10**60 + 7) == 10**42 - 6135319167361533364701645498
+    assert rough_threshold(0.0625, 5**16) == 5
+    assert rough_threshold(0.0625, 5**16 - 1) == 4
+    assert rough_threshold(4095 / 4096, 2 * 10**9) == 1989570057
 
 
 def test_rough_set_small_example():
