@@ -28,14 +28,15 @@ odd moduli m (the scans past u + h and the squared sums of
 proof_trace), _fixed_modulus for (m|q) over numerators m (character
 sums).  Each costs one gather of m mod l per prime factor l of the fixed
 side, plus one sign from m mod 8.  One cost rule, in _table_factors,
-picks tables over jacobi_many: a fixed side at most _TABLE_COST (32, set
-by measurement) times the lane count and at most _TABLE_LIMIT (2**20),
-int64 lanes, and a fixed side that distinct_prime_factors factors;
-every other call, out-of-domain lanes included, goes to jacobi_many
-unchanged.  The tables are kept per process (per thread, like the
-kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB), least
-recently used out first, so proof_trace's two sums and the runs of a
-scan share them; none is built at import.
+picks tables over jacobi_many: int64 lanes, and a fixed side whose
+distinct prime factors sum to at most _TABLE_COST (32, set by
+measurement) times the lane count, each at most _TABLE_LIMIT (2**20),
+found by one numpy trial division over the base primes; every other
+call, out-of-domain lanes included, goes to jacobi_many unchanged.  The
+tables are kept per process (per thread, like the kernel) in a cache of
+at most _TABLE_CACHE_BUDGET bytes (4 MiB), least recently used out
+first, so proof_trace's two sums and the runs of a scan share them;
+none is built at import.
 
 The least non-residue is the u = 0 case of the first non-residue past
 u, and both come from one first-hit scan, _first_hits: it walks steps
@@ -58,8 +59,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .arith import _lanes, jacobi, jacobi_many
-from .errors import FactorizationError, ParameterError, ResourceError, ScanError
-from .sieve import ascending_primes, check_window, distinct_prime_factors
+from .errors import ParameterError, ResourceError, ScanError
+from .sieve import _base_primes, ascending_primes, check_window
 
 RESIDUE_TABLE_BUDGET = 2**31
 
@@ -212,33 +213,32 @@ def _table_factors(fixed, lanes: np.ndarray) -> list[tuple[int, int]] | None:
     lanes should come from Legendre tables; None sends them to
     jacobi_many.
 
-    The cost rule: the tables of fixed's prime factors hold at most
-    fixed entries in all and cost 3-7 ns an entry to build up to 2**20
-    entries (13-19 ns past that, once they outgrow the cache), while the
-    Euclid loop of jacobi_many costs 150-350 ns a lane (measured on a
-    2-vCPU Xeon with numpy 2.4; a table wins twice over at 32 entries a
-    lane, from 1,000 lanes to 65,536).  So tables are
-    used only when fixed <= _TABLE_COST times the lane count, which needs
-    no factoring to decide, and fixed <= _TABLE_LIMIT (and
-    RESIDUE_TABLE_BUDGET); and only for int64 lanes and a fixed that
-    distinct_prime_factors factors.
+    The cost rule: the table of a prime l holds l entries and costs 3-7 ns
+    an entry to build up to 2**20 entries (13-19 ns past that), while the
+    Euclid loop of jacobi_many costs 150-350 ns a lane (2-vCPU Xeon,
+    numpy 2.4; a table wins twice over at 32 entries a lane, from 1,000
+    lanes to 65,536).  So tables need int64 lanes, 1 <= fixed < 2**63 and
+    distinct prime factors, each at most _TABLE_LIMIT, that sum to at most
+    _TABLE_COST times the lanes.  One numpy % by the base primes up to
+    min(that bound, _TABLE_LIMIT, fixed) finds them; a cofactor left over
+    has only larger prime factors, so it is refused untested.
     """
-    limit = min(_TABLE_COST * lanes.size, _TABLE_LIMIT, RESIDUE_TABLE_BUDGET)
-    if lanes.dtype != np.int64 or not 1 <= fixed <= limit:
+    bound = _TABLE_COST * lanes.size
+    if lanes.dtype != np.int64 or not 1 <= fixed < 1 << 63:
         return None
     fixed = int(fixed)
-    try:
-        primes = distinct_prime_factors(fixed)
-    except FactorizationError:
-        return None
-    factors = []
-    for l in primes:
+    primes = _base_primes(min(bound, _TABLE_LIMIT, fixed))
+    factors, cost = [], 0
+    for l in primes[np.int64(fixed) % primes == 0].tolist():
+        cost += l
+        if cost > bound:
+            return None
         e = 0
         while fixed % l == 0:
             fixed //= l
             e += 1
         factors.append((l, e))
-    return factors
+    return factors if fixed == 1 else None
 
 
 def _remainder(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:

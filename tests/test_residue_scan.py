@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrstats import residue_scan
 from qrstats.arith import jacobi, jacobi_many
-from qrstats.charsums import incomplete_char_sum, rough_partition
-from qrstats.errors import FactorizationError, ParameterError, ResourceError, ScanError
+from qrstats.charsums import burgess_sweep, incomplete_char_sum, rough_partition
+from qrstats.errors import ParameterError, ResourceError, ScanError
 from qrstats.experiments import _gap_tail_row, proof_trace
 from qrstats.residue_scan import (
     _KERNEL,
@@ -456,8 +456,9 @@ def test_fixed_numerator_matches_scalar_jacobi(cost, a, more):
         calls = _spy_on_jacobi_many(mp)
         got = _fixed_numerator(a, m).tolist()
     assert got == [jacobi(a, int(q)) for q in m]
-    # tables for every a >= 1 once the cost rule allows them, never for a = 0
-    assert bool(calls) == (cost == 0 or a == 0)
+    # tables for every a >= 1 once the cost rule allows them, never for
+    # a = 0; at cost 0 only for a = 1, whose tables cost nothing
+    assert bool(calls) == (a == 0 or (cost == 0 and a != 1))
 
 
 @pytest.mark.parametrize("cost", [0, 10**18])
@@ -470,7 +471,7 @@ def test_fixed_modulus_matches_scalar_jacobi(cost, q, more):
         calls = _spy_on_jacobi_many(mp)
         got = _fixed_modulus(m, q).tolist()
     assert got == [jacobi(int(x), q) for x in m]
-    assert bool(calls) == (cost == 0)
+    assert bool(calls) == (cost == 0 and q != 1)
 
 
 def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
@@ -480,9 +481,8 @@ def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
         (15, [3, 5, 2**70 + 1, 2**64 - 59]),
         (15, np.array([3, 2**70 + 1], dtype=object)),
         (15, np.array([3, 2**64 - 59], dtype=np.uint64)),
-        # a fixed side past int64, past the table limit, and negative
+        # a fixed side past int64 and a negative one
         (2**70 + 1, np.array([3, 5, 7])),
-        (residue_scan._TABLE_LIMIT + 1, np.array([3, 5, 7])),
         (-3, np.array([3, 5])),
         # negative, even and zero moduli, a negative numerator lane
         (15, np.array([3, -5])),
@@ -497,14 +497,26 @@ def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
     for q in (4, 0, 2**70 + 3):
         m = np.array([1, 2, 3])
         assert _outcome(_fixed_modulus, m, q) == _outcome(jacobi_many, m, q)
-    # a fixed side the factoring refuses
-    def refuse(n):
-        raise FactorizationError(f"cannot factor {n}")
-
-    monkeypatch.setattr(residue_scan, "distinct_prime_factors", refuse)
-    m = np.array([3, 5, 7, 9, 11])
-    assert _fixed_numerator(21, m).tolist() == [jacobi(21, int(x)) for x in m]
-    assert _fixed_modulus(m, 21).tolist() == [jacobi(int(x), 21) for x in m]
+    # the cost rule's boundaries, at its own cost and past any cost
+    five, hundred = np.array([3, 5, 7, 9, 11]), np.arange(1, 200, 2)
+    cases = [
+        # distinct factors summing to 32 * 5 = 160, a square among them
+        (32, 9 * 157, five, True),
+        (32, 3 * 7 * 151, five, False),
+        # a cofactor prime above the trial bound 32 * 100
+        (32, 3 * 1000003, hundred, False),
+        # a factor past 2**20: the first prime above it
+        (10**18, 1048583, five, False),
+        # factors that cost little, on a fixed side past int64
+        (10**18, 3**40, five, False),
+    ]
+    for cost, fixed, m, tables in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(residue_scan, "_TABLE_COST", cost)
+            calls = _spy_on_jacobi_many(mp)
+            assert _fixed_numerator(fixed, m).tolist() == [jacobi(fixed, int(x)) for x in m]
+            assert _fixed_modulus(m, fixed).tolist() == [jacobi(int(x), fixed) for x in m]
+        assert len(calls) == (0 if tables else 2), fixed
 
 
 def test_table_cost_changes_no_result(monkeypatch):
@@ -516,6 +528,8 @@ def test_table_cost_changes_no_result(monkeypatch):
             rough_partition(0.2, 10**5, 10007),
             incomplete_char_sum(5000, 3 * 3 * 5 * 7 * 11),
             first_nonresidues_after(primes, 12345, 30).tolist(),
+            burgess_sweep(5, 10**4, 10**5, seed=1),
+            first_nonresidues_after(primes, 10**12 + 12345, 30).tolist(),
         )
 
     monkeypatch.setattr(residue_scan, "_TABLE_COST", 0)
