@@ -51,12 +51,9 @@ from .residue_scan import (
 )
 from .rng import XorShift64Star
 from .sieve import (
-    CoprimeCount,
     MertensProduct,
     RoughSet,
     SquarefreeWindow,
-    coprime_count,
-    distinct_prime_factors,
     feller_tornier_A,
     is_prime_u64,
     mertens_product,

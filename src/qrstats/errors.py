@@ -31,11 +31,6 @@ class ResourceError(QRStatsError):
     """A table or scan would exceed the configured memory budget."""
 
 
-class FactorizationError(QRStatsError):
-    """Trial division left a cofactor that is neither 1, prime, nor a
-    prime square, so an exact factor set cannot be certified."""
-
-
 class DegenerateSetError(QRStatsError, ValueError):
     """A constructed set is too small for the requested statistic."""
 

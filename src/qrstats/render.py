@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-CHUNK_ROWS = 1 << 16
+CHUNK_ROWS = 1 << 14
 
 _BOOL = {False: "false", True: "true"}
 _ROWS_MARK = "\0rows"

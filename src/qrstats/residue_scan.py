@@ -220,14 +220,17 @@ def _table_factors(fixed, lanes: np.ndarray) -> list[tuple[int, int]] | None:
     lanes to 65,536).  So tables need int64 lanes, 1 <= fixed < 2**63 and
     distinct prime factors, each at most _TABLE_LIMIT, that sum to at most
     _TABLE_COST times the lanes.  One numpy % by the base primes up to
-    min(that bound, _TABLE_LIMIT, fixed) finds them; a cofactor left over
-    has only larger prime factors, so it is refused untested.
+    min(that bound, _TABLE_LIMIT, isqrt(fixed)) finds them.  A cofactor
+    c > 1 left over is one prime if c <= min(bound, _TABLE_LIMIT), and
+    is taken if the summed cost allows; a larger one has only prime
+    factors past the cap, so it is refused untested.
     """
     bound = _TABLE_COST * lanes.size
     if lanes.dtype != np.int64 or not 1 <= fixed < 1 << 63:
         return None
     fixed = int(fixed)
-    primes = _base_primes(min(bound, _TABLE_LIMIT, fixed))
+    cap = min(bound, _TABLE_LIMIT)
+    primes = _base_primes(min(cap, math.isqrt(fixed)))
     factors, cost = [], 0
     for l in primes[np.int64(fixed) % primes == 0].tolist():
         cost += l
@@ -238,7 +241,11 @@ def _table_factors(fixed, lanes: np.ndarray) -> list[tuple[int, int]] | None:
             fixed //= l
             e += 1
         factors.append((l, e))
-    return factors if fixed == 1 else None
+    if fixed > 1:
+        if fixed > cap or cost + fixed > bound:
+            return None
+        factors.append((fixed, 1))
+    return factors
 
 
 def _remainder(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:

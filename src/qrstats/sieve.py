@@ -3,6 +3,10 @@ and the Euler products used as comparison terms.
 
 All sieves are numpy boolean arrays.  Returned arrays are treated as
 immutable after construction and can be shared freely across processes.
+A square-free window or rough set keeps its sieve flags and their count;
+its members are built from the flags only when a caller asks for them
+(a rough set's once, a window's on every call), so a census holds one
+byte per integer sieved and no int64 member list.
 Memory budgets are enforced up front so a typo in an exponent raises a
 ResourceError instead of thrashing the machine.
 
@@ -40,17 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    FactorizationError,
-    ParameterError,
-    RangeError,
-    ResourceError,
-)
+from .errors import ParameterError, RangeError, ResourceError
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -64,8 +63,6 @@ SPAN_BUDGET = 10**9
 TABLE_BUDGET = 10**8
 
 _STRIDE_LIMIT = 1 << 12
-
-_TRIAL_LIMIT = 10**6
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -294,21 +291,24 @@ def _at_most_power(t: int, eta: float, M: int) -> bool:
 class RoughSet:
     """Integers in [1, M] with no prime factor p <= M**eta.
 
-    members is ascending and always starts at 1.  cutoff is the exact
-    integer threshold: primes <= cutoff are sieved out, and a prime equal
-    to M**eta exactly is excluded from the set.  ratio_c0 is
-    count * eta * log(M) / M, the count measured against M/(eta log M).
+    mask[m] is set for each member m (mask[1] always, mask[0] never),
+    and count is their number.  cutoff is the exact integer threshold:
+    primes <= cutoff are sieved out, and a prime equal to M**eta exactly
+    is excluded from the set.  ratio_c0 is count * eta * log(M) / M, the
+    count measured against M/(eta log M).
     """
 
     eta: float
     M: int
     cutoff: int
-    members: np.ndarray
+    mask: np.ndarray
+    count: int
     ratio_c0: float
 
-    @property
-    def count(self) -> int:
-        return int(self.members.size)
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The members, ascending int64 from 1, listed on first use."""
+        return np.flatnonzero(self.mask).astype(np.int64, copy=False)
 
 
 def check_rough(eta: float, M: int) -> None:
@@ -329,9 +329,8 @@ def rough_set(eta: float, M: int) -> RoughSet:
     mask[0] = False
     primes = _base_primes(min(cutoff, M))
     _strike(mask, 0, primes, primes)
-    members = np.flatnonzero(mask).astype(np.int64)
-    ratio_c0 = members.size * eta * math.log(M) / M
-    return RoughSet(eta, M, cutoff, members, ratio_c0)
+    count = int(np.count_nonzero(mask))
+    return RoughSet(eta, M, cutoff, mask, count, count * eta * math.log(M) / M)
 
 
 class MertensProduct(NamedTuple):
@@ -364,24 +363,25 @@ def feller_tornier_A(p_max: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SquarefreeWindow:
-    """Square-free integers in the window [u+1, u+h], plus the count of
-    n in the window with n and n+1 both square-free."""
+    """Square-free integers in the window [u+1, u+h]: flags[i] is set
+    when u+1+i is square-free, count is their number, and pair_count
+    counts the n in the window with n and n+1 both square-free."""
 
     u: int
     h: int
-    members: np.ndarray
+    flags: np.ndarray
+    count: int
     pair_count: int
 
     @property
-    def count(self) -> int:
-        return int(self.members.size)
-
-    def odd_members(self) -> np.ndarray:
-        return self.members[self.members % 2 == 1]
+    def members(self) -> np.ndarray:
+        """The square-free integers of the window, ascending int64."""
+        return np.flatnonzero(self.flags) + (self.u + 1)
 
     def members_mod4(self, r: int) -> np.ndarray:
-        """Members congruent to r mod 4."""
-        return self.members[self.members % 4 == r % 4]
+        """Members congruent to r mod 4, read off every fourth flag."""
+        first = (r - self.u - 1) % 4
+        return np.flatnonzero(self.flags[first::4]) * 4 + (self.u + 1 + first)
 
 
 def check_window(u: int, h: int = 1) -> None:
@@ -409,69 +409,6 @@ def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:
     squares = _base_primes(math.isqrt(lo + h)) ** 2
     flags = np.ones(h + 1, dtype=bool)
     _strike(flags, lo, squares, squares)
-    members = np.flatnonzero(flags[:-1]).astype(np.int64) + lo
-    pair_count = int(np.count_nonzero(flags[:-1] & flags[1:]))
-    return SquarefreeWindow(u, h, members, pair_count)
-
-
-def distinct_prime_factors(q: int) -> list[int]:
-    """Distinct primes dividing q, ascending.
-
-    Trial division by the table primes up to 10**6 leaves a cofactor
-    that must be 1, a prime, or the square of a prime (certified by
-    deterministic Miller-Rabin), otherwise a FactorizationError is raised.
-    """
-    if q < 1:
-        raise ParameterError(f"need q >= 1, got {q}")
-    out = []
-    rem = q
-    for p in _base_primes(min(_TRIAL_LIMIT, math.isqrt(q))).tolist():
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            out.append(p)
-            while rem % p == 0:
-                rem //= p
-    if rem == 1:
-        return out
-    if is_prime_u64(rem):
-        out.append(rem)
-        return out
-    r = math.isqrt(rem)
-    if r * r == rem and is_prime_u64(r):
-        out.append(r)
-        return out
-    raise FactorizationError(f"cofactor {rem} of {q} is neither 1, prime, nor a prime square")
-
-
-class CoprimeCount(NamedTuple):
-    count: int
-    main_term: float
-    residual: float
-
-
-def coprime_count(M: int, q: int) -> CoprimeCount:
-    """Exact count of m <= M coprime to q, by inclusion-exclusion over
-    the distinct prime factors of q.
-
-    main_term is phi(q) * M / q, evaluated as an exact rational before
-    conversion; residual = count - main_term is bounded in absolute value
-    by 2**omega(q), with omega the number of distinct prime factors.
-    """
-    if M < 1:
-        raise ParameterError(f"need M >= 1, got {M}")
-    primes = distinct_prime_factors(q) if q > 1 else []
-    count = 0
-    for bits in range(1 << len(primes)):
-        d = 1
-        sign = 1
-        for i, p in enumerate(primes):
-            if bits >> i & 1:
-                d *= p
-                sign = -sign
-        count += sign * (M // d)
-    phi = q
-    for p in primes:
-        phi = phi // p * (p - 1)
-    main = Fraction(phi * M, q)
-    return CoprimeCount(count, float(main), float(count - main))
+    window = flags[:-1]
+    pair_count = int(np.count_nonzero(window & flags[1:]))
+    return SquarefreeWindow(u, h, window, int(np.count_nonzero(window)), pair_count)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrstats import residue_scan
+from qrstats import residue_scan, sieve
 from qrstats.arith import jacobi, jacobi_many
 from qrstats.charsums import burgess_sweep, incomplete_char_sum, rough_partition
 from qrstats.errors import ParameterError, ResourceError, ScanError
@@ -517,6 +517,25 @@ def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
             assert _fixed_numerator(fixed, m).tolist() == [jacobi(fixed, int(x)) for x in m]
             assert _fixed_modulus(m, fixed).tolist() == [jacobi(int(x), fixed) for x in m]
         assert len(calls) == (0 if tables else 2), fixed
+
+
+def test_table_factors_trial_divide_up_to_the_square_root(monkeypatch):
+    # a prime fixed side near 10**6 is left as its own cofactor after a
+    # % over the 168 primes up to isqrt(1000003) = 1000, so the base-prime
+    # table is never grown towards 10**6
+    monkeypatch.setattr(sieve, "_base_table", (0, np.empty(0, dtype=np.int64)))
+    # 2**15 lanes at cost 32 allow factors summing to 2**20
+    m = np.arange(1, 2**16, 2, dtype=np.int64)
+    for fixed, factors in [(1000003, [(1000003, 1)]), (3 * 3 * 1000003, [(3, 2), (1000003, 1)]),
+                           (997 * 1009, [(997, 1), (1009, 1)]), (2 * 1048583, None)]:
+        assert residue_scan._table_factors(fixed, m) == factors
+    # 31,250 lanes allow 10**6, one short of the cofactor
+    assert residue_scan._table_factors(1000003, m[:31250]) is None
+    assert sieve._base_table[0] < 4096
+    calls = _spy_on_jacobi_many(monkeypatch)
+    assert _fixed_modulus(m, 1000003).tolist() == [jacobi(int(x), 1000003) for x in m]
+    assert _fixed_numerator(1000003, m).tolist() == [jacobi(1000003, int(x)) for x in m]
+    assert calls == []
 
 
 def test_table_cost_changes_no_result(monkeypatch):

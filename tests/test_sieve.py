@@ -1,14 +1,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qrstats import sieve
-from qrstats.errors import FactorizationError, ParameterError, RangeError, ResourceError
+from qrstats.errors import ParameterError, RangeError, ResourceError
 from qrstats.experiments import exceptional_blocks
 from qrstats.sieve import (
     EULER_GAMMA,
@@ -19,8 +20,6 @@ from qrstats.sieve import (
     check_rough,
     check_squarefree,
     check_window,
-    coprime_count,
-    distinct_prime_factors,
     feller_tornier_A,
     is_prime_u64,
     mertens_product,
@@ -270,6 +269,20 @@ def test_rough_set_against_smallest_prime_factors(eta):
     assert np.array_equal(rs.members, np.flatnonzero(keep))
 
 
+@given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=2, max_value=3000))
+@settings(max_examples=60, deadline=None)
+def test_rough_set_members_match_slow_filter(eta, M):
+    # a denominator of at least M.bit_length() keeps power_floor exact
+    assume(eta.as_integer_ratio()[1] >= M.bit_length())
+    cutoff = power_floor(eta, M)
+    expect = [m for m in range(1, M + 1) if m == 1 or min(factorize(m)) > cutoff]
+    rs = rough_set(eta, M)
+    assert rs.members.dtype == np.int64
+    assert rs.members.tolist() == expect
+    assert rs.count == rs.members.size == len(expect)
+    assert rs.members is rs.members
+
+
 def test_mertens_product_exact_small():
     got = mertens_product(10).product
     assert got == pytest.approx(float(Fraction(1, 2) * Fraction(2, 3) * Fraction(4, 5) * Fraction(6, 7)), abs=1e-15)
@@ -300,19 +313,53 @@ def test_squarefree_window_example():
     assert w.members.tolist() == [11, 13, 14, 15]
     assert w.count == 4
     assert w.pair_count == 2
-    assert w.odd_members().tolist() == [11, 13, 15]
     assert w.members_mod4(1).tolist() == [13]
     assert w.members_mod4(3).tolist() == [11, 15]
 
 
 @given(st.integers(min_value=0, max_value=10**4), st.integers(min_value=1, max_value=200))
-@settings(max_examples=100)
+@example(0, 1)
+@example(1, 1)
+@example(2, 1)
+@example(3, 1)
+@settings(max_examples=150)
 def test_squarefree_window_matches_slow_filter(u, h):
     w = squarefree_in_interval(u, h)
     expect = [n for n in range(u + 1, u + h + 1) if is_squarefree_slow(n)]
-    assert w.members.tolist() == expect
+    assert w.members.dtype == np.int64 and w.members.tolist() == expect
+    assert w.count == len(expect)
     pairs = [n for n in expect if is_squarefree_slow(n + 1)]
     assert w.pair_count == len(pairs)
+    # every residue class, whatever u is mod 4
+    for r in range(4):
+        got = w.members_mod4(r)
+        assert got.dtype == np.int64 and got.tolist() == [n for n in expect if n % 4 == r]
+        assert w.members_mod4(r + 4).tolist() == got.tolist()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_census_holds_no_member_list():
+    # flags take one byte per integer; a list of the 607,940 square-free
+    # members, or of the 333,333 rough ones, would take 8 bytes a member
+    u, h = 10**12, 10**6
+    sieve._base_primes(math.isqrt(u + h + 1))
+    squarefree_in_interval(u, 100).pair_count
+    rough_set(0.1, 100).count
+
+    def window():
+        w = squarefree_in_interval(u, h)
+        assert (w.count, w.pair_count) == (607940, 322662)
+
+    assert _traced_peak(window) < 4 << 20
+    assert _traced_peak(lambda: rough_set(0.1, 10**6).count) < 4 << 20
 
 
 @pytest.mark.parametrize("p", [61, 67, 4093, 4099])
@@ -341,40 +388,6 @@ def test_squarefree_window_validates():
         squarefree_in_interval(-1, 5)
     with pytest.raises(ParameterError):
         squarefree_in_interval(5, 0)
-
-
-def test_distinct_prime_factors_small():
-    assert distinct_prime_factors(1) == []
-    assert distinct_prime_factors(2) == [2]
-    assert distinct_prime_factors(360) == [2, 3, 5]
-    assert distinct_prime_factors(97) == [97]
-
-
-def test_distinct_prime_factors_large_cofactors():
-    p = 1000003
-    assert distinct_prime_factors(2 * p) == [2, p]
-    assert distinct_prime_factors(p * p) == [p]
-    with pytest.raises(FactorizationError):
-        distinct_prime_factors(1000003 * 1000033)
-
-
-@given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=300))
-@settings(max_examples=150)
-def test_coprime_count_matches_gcd_scan(M, q):
-    got = coprime_count(M, q)
-    assert got.count == sum(1 for m in range(1, M + 1) if math.gcd(m, q) == 1)
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**5))
-@settings(max_examples=100)
-def test_coprime_count_residual_bound(M, q):
-    got = coprime_count(M, q)
-    omega = len(distinct_prime_factors(q))
-    assert abs(got.residual) <= 2**omega
-    phi = q
-    for p in distinct_prime_factors(q):
-        phi = phi // p * (p - 1)
-    assert got.main_term == pytest.approx(phi * M / q)
 
 
 # Each check_* helper raises what its function raised before it existed.
