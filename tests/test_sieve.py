@@ -362,6 +362,34 @@ def test_census_holds_no_member_list():
     assert _traced_peak(lambda: rough_set(0.1, 10**6).count) < 4 << 20
 
 
+def test_rough_set_lists_members_on_first_use_only():
+    rs = rough_set(0.3, 1000)
+    assert rs.count == int(rs.mask.sum())
+    assert "members" not in vars(rs)
+    members = rs.members
+    assert vars(rs)["members"] is members
+    assert members.tolist() == np.flatnonzero(rs.mask).tolist()
+
+
+@pytest.mark.parametrize("u", [10**12, 10**12 + 1, 10**12 + 6, 10**12 + 3])
+def test_squarefree_window_members_past_int32(u):
+    # members near 10**12 need int64; u runs through every class mod 4, and
+    # each n in [u+1, u+h+1] is checked against every prime square up to n
+    h = 400
+    squares = eratosthenes(math.isqrt(u + h + 1)) ** 2
+    n = np.arange(u + 1, u + h + 2, dtype=np.int64)
+    keep = np.ones(n.size, dtype=bool)
+    for i in range(0, squares.size, 4096):
+        keep &= (n[:, None] % squares[None, i : i + 4096] != 0).all(axis=1)
+    expect = n[:-1][keep[:-1]].tolist()
+    w = squarefree_in_interval(u, h)
+    assert w.members.tolist() == expect
+    assert w.count == len(expect)
+    assert w.pair_count == int((keep[:-1] & keep[1:]).sum())
+    for r in range(4):
+        assert w.members_mod4(r).tolist() == [m for m in expect if m % 4 == r]
+
+
 @pytest.mark.parametrize("p", [61, 67, 4093, 4099])
 def test_squarefree_window_at_a_square_on_each_side_of_the_threshold(p):
     # 61**2 < 2**12 < 67**2 splits the squares; 4093, 4099 the base primes
