@@ -1,11 +1,12 @@
 # The bound chain behind the exceptional-set estimate, evaluated with
 # exact integers at desk scale.  The idea: pick a small set N of numbers
-# in the window (u, u+h] whose pairwise products are rarely squares.  A
-# prime p with no non-residue in the window gives the symbol value +1 on
-# all of N (0 at most once), so the squared character sum over N is at
-# least (|N|-1)^2.  Summing those squares over every p in [Q, 2Q], and
-# then over the larger rough set, costs only the square-product pairs T
-# times the set size, so few primes can be exceptional.
+# in the window (u, u+h] where the product of two distinct members is
+# never a square.  A prime p with no non-residue in the window gives the
+# symbol value +1 on all of N (0 at most once), so the squared character
+# sum over N is at least (|N|-1)^2.  Summing those squares over every p
+# in [Q, 2Q], and then over the larger rough set, costs only the
+# square-product pairs, which are the diagonal ones, T = |N|, times the
+# set size, so few primes can be exceptional.
 
 from qrstats import proof_trace
 

@@ -31,7 +31,6 @@ from .experiments import (
     erdos_constant,
     erdos_mean,
     erdos_mean_curve,
-    exceptional_density,
     exceptional_density_sweep,
     gap_tail_scan,
     h_quarter_power,
@@ -61,6 +60,5 @@ from .sieve import (
     primes_upto,
     rough_set,
     rough_threshold,
-    spf_table,
     squarefree_in_interval,
 )

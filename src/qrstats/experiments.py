@@ -33,7 +33,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import is_perfect_square
 from .errors import DegenerateSetError, ParameterError, ResourceError
 from .residue_scan import _fixed_numerator, _gap_tail_of, first_nonresidues_after, least_nonresidues
 from .sieve import (
@@ -53,6 +52,7 @@ BLOCK_SPAN = 1 << 16
 RUN_SPAN = 1 << 20
 WITNESS_CAP = 1000
 ERDOS_X_BUDGET = 10**8
+TRACE_LANE_BUDGET = 2**30
 
 _PRIME_CHUNK = 64
 
@@ -413,11 +413,6 @@ def exceptional_density_sweep(
     ]
 
 
-def exceptional_density(Q: int, u: int, h: int, workers: int = 1) -> ExceptionalDensity:
-    """Count primes p in [Q, 2Q] with first_nonresidue_after(p, u) > h."""
-    return exceptional_density_sweep(Q, u, [h], workers)[0]
-
-
 # --- Gap-tail scaling ----------------------------------------------------
 
 class GapTailRow(NamedTuple):
@@ -507,6 +502,16 @@ class TraceReport:
     T * rough_size) plus the remainder.  rhs_terms holds the three terms
     of the final displayed bound with all absolute constants dropped, so
     they indicate scale, not a provable ceiling.
+
+    T, the number of ordered pairs (n, n') of N with n * n' a square, is
+    N_size: only the diagonal pairs qualify.  In the large-h regime N
+    holds distinct square-free numbers, and the product of two of them
+    is never a square.  In the small-h regime, n = k * a**2 < n' = k * b**2
+    with the same square-free k would need n' - n >= k * (2a + 1) >=
+    2 * sqrt(u + 1) + 1, so h >= 2 * sqrt(u + 1) + 2; but that regime has
+    u >= 3 and h < sqrt(u) / log u < sqrt(u).  So square_pair_sum counts
+    the pairs (n, m), m in the rough set, with gcd(m, n**2) = 1; the rough
+    members are odd, so these are the pairs with (n|m) != 0.
     """
 
     Q: int
@@ -533,32 +538,33 @@ class TraceReport:
     notes: tuple[str, ...]
 
 
-def _square_product_pairs(ns: Sequence[int]) -> list[tuple[int, int]]:
-    """Ordered index pairs (i, j) with ns[i] * ns[j] a perfect square,
-    decided exactly by the integer square root."""
-    return [(i, j) for i, a in enumerate(ns) for j, b in enumerate(ns) if is_perfect_square(a * b)]
-
-
-def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, list[int]]:
+def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, int]:
     """sum over m in moduli of (sum over n in ns of (n|m))**2, with each
-    member of ns a fixed numerator (_fixed_numerator); and for each n the
-    count of m with (n|m) != 0, which for odd m are the m coprime to n."""
+    member of ns a fixed numerator (_fixed_numerator); and the count of
+    pairs (n, m) with (n|m) != 0, which for odd m are those with m
+    coprime to n."""
     acc = np.zeros(moduli.shape, dtype=np.int64)
-    nonzero = []
+    nonzero = 0
     for n in ns:
         symbols = _fixed_numerator(n, moduli)
         acc += symbols
-        nonzero.append(int(np.count_nonzero(symbols)))
+        nonzero += int(np.count_nonzero(symbols))
     return int((acc * acc).sum()), nonzero
 
 
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
     """Preconditions of proof_trace: check_exceptional for the one h,
-    h < Q, 0 < eta < 1 and 2 <= (2Q)**eta < Q, the last read off
-    rough_threshold."""
+    h < Q, at most TRACE_LANE_BUDGET symbol lanes, 0 < eta < 1 and
+    2 <= (2Q)**eta < Q, the last read off rough_threshold.  The lanes are
+    |N| times the primes of [Q, 2Q] plus the rough members of [1, 2Q],
+    bounded by (h // 4 + 1) * 3Q, since N holds one residue class mod 4
+    of the window."""
     check_exceptional(Q, u, [h])
     if h >= Q:
         raise ParameterError(f"need h < Q for the one-multiple-per-window bound, got h={h}, Q={Q}")
+    lanes = (h // 4 + 1) * 3 * Q
+    if lanes > TRACE_LANE_BUDGET:
+        raise ResourceError(f"up to {lanes} symbol lanes for h={h}, Q={Q} exceed the budget of {TRACE_LANE_BUDGET}")
     check_eta(eta)
     cutoff = rough_threshold(eta, 2 * Q)
     if cutoff >= Q:
@@ -578,8 +584,10 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     M = 2Q, which keeps every prime of [Q, 2Q] a member; that requires
     2 <= (2Q)**eta < Q (the lower end keeps the set odd, so the symbols
     exist), and h < Q so a window meets each prime's multiples at most
-    once.  All sums are exact integers; only the rhs_terms are floating
-    point.
+    once.  S_rough splits at the square-product pairs of N, which are
+    the diagonal pairs (n, n) alone (TraceReport), so its square part is
+    the count of nonzero symbols (n|m) over the rough set.  All sums are
+    exact integers; only the rhs_terms are floating point.
     """
     check_trace(Q, u, h, eta)
     M = 2 * Q
@@ -615,25 +623,9 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     exceptional = int(np.count_nonzero(first_nonresidues_after(primes, u, h) > h))
 
     rough = rough_set(eta, M)
-    s_rough, coprime_to_n = _squared_symbol_sums(ns, rough.members)
+    s_rough, square_pair_sum = _squared_symbol_sums(ns, rough.members)
 
-    pairs = _square_product_pairs(ns)
-    coprime_cache: dict[int, int] = {}
-    square_pair_sum = 0
-    for i, j in pairs:
-        q_pair = ns[i] * ns[j]
-        if q_pair not in coprime_cache:
-            if i == j:  # coprime to n * n is coprime to n
-                hit = coprime_to_n[i]
-            elif q_pair < 2**63:
-                hit = int(np.count_nonzero(np.gcd(rough.members, np.int64(q_pair)) == 1))
-            else:
-                hit = sum(1 for m in rough.members.tolist() if math.gcd(m, q_pair) == 1)
-            coprime_cache[q_pair] = hit
-        square_pair_sum += coprime_cache[q_pair]
-
-    n_size = len(ns)
-    t_count = len(pairs)
+    n_size = t_count = len(ns)
     denom = (n_size - 1) ** 2
     rhs_terms = {
         "square_product_term": Q * t_count / (eta * denom * math.log(Q)),

@@ -330,15 +330,6 @@ class ResidueMap:
         """The classification unpacked to one bool per class."""
         return np.unpackbits(self.packed, count=self.p).view(np.bool_)
 
-    def is_residue(self, n: int) -> bool:
-        n %= self.p
-        return bool(self.packed[n >> 3] >> (7 - (n & 7)) & 1)
-
-    def popcount(self) -> int:
-        """Set bits over 1..p-1, excluding the class of 0."""
-        total = int(np.unpackbits(self.packed, count=self.p).sum())
-        return total - (1 if self.zero_as_residue else 0)
-
 
 def residue_map(p: int, zero_as_residue: bool = True) -> ResidueMap:
     """Tabulate the residues mod p by squaring 1..(p-1)/2.

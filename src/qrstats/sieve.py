@@ -1,5 +1,5 @@
-"""Prime generation, factor tables, rough numbers, square-free windows,
-and the Euler products used as comparison terms.
+"""Prime generation, rough numbers, square-free windows, and the Euler
+products used as comparison terms.
 
 All sieves are numpy boolean arrays.  Returned arrays are treated as
 immutable after construction and can be shared freely across processes.
@@ -184,26 +184,6 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
         _strike(mask, seg_lo, base, squares)
         chunks.append(np.flatnonzero(mask) + seg_lo)
     return np.concatenate(chunks)
-
-
-def spf_table(M: int) -> np.ndarray:
-    """Smallest-prime-factor table: out[m] for 2 <= m <= M, out[0:2] = 0.
-
-    Built by the usual masked-view trick: for each prime p <= sqrt(M),
-    ascending, the strided view out[p*p::p] gets p written wherever no
-    smaller prime claimed the slot first.
-    """
-    if M < 1:
-        raise ParameterError(f"need M >= 1, got {M}")
-    if M > TABLE_BUDGET:
-        raise ResourceError(f"factor table up to {M} exceeds the budget of {TABLE_BUDGET}")
-    spf = np.zeros(M + 1, dtype=np.int32)
-    for p in _base_primes(math.isqrt(M)).tolist():
-        view = spf[p * p :: p]
-        view[view == 0] = p
-    unset = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    spf[unset] = unset
-    return spf
 
 
 def is_prime_u64(n: int) -> bool:
@@ -403,12 +383,15 @@ def check_squarefree(u: int, h: int) -> None:
 
 def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:
     """Sieve the window [u+1, u+h] by squares of primes up to
-    sqrt(u+h+1); one extra flag past the window settles the pair count."""
+    sqrt(u+h+1); one extra flag past the window settles the pair count,
+    which is taken one SEGMENT at a time so no second window is held."""
     check_squarefree(u, h)
     lo = u + 1
     squares = _base_primes(math.isqrt(lo + h)) ** 2
     flags = np.ones(h + 1, dtype=bool)
     _strike(flags, lo, squares, squares)
     window = flags[:-1]
-    pair_count = int(np.count_nonzero(window & flags[1:]))
+    pair_count = sum(
+        int(np.count_nonzero(window[i : i + SEGMENT] & flags[i + 1 : i + SEGMENT + 1])) for i in range(0, h, SEGMENT)
+    )
     return SquarefreeWindow(u, h, window, int(np.count_nonzero(window)), pair_count)

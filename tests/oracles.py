@@ -46,6 +46,20 @@ def eratosthenes(n: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def spf_table(M: int) -> np.ndarray:
+    """Smallest prime factor of every m <= M as int64 (0 for m < 2), by a
+    plain sieve: each p <= sqrt(M) that no smaller prime claimed writes
+    itself over the unclaimed multiples from p*p on."""
+    spf = np.zeros(M + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(M) + 1):
+        if spf[p] == 0:
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    rest = np.flatnonzero(spf == 0)[2:]
+    spf[rest] = rest
+    return spf
+
+
 def factorize(n: int) -> dict:
     """Full factorization by trial division, exponents included."""
     out = {}
@@ -97,6 +111,12 @@ def is_squarefree_slow(n: int) -> bool:
         if e > 1:
             return False
     return True
+
+
+def square_product_pairs(ns: list) -> list:
+    """Ordered index pairs (i, j) with ns[i] * ns[j] a perfect square, by
+    testing every pair with the integer square root."""
+    return [(i, j) for i, a in enumerate(ns) for j, b in enumerate(ns) if math.isqrt(a * b) ** 2 == a * b]
 
 
 def power_floor(eta: float, M: int) -> int:

@@ -517,6 +517,23 @@ def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
     assert parse_args(["nres", "--p", "4294967311"]).params == {"p": 4294967311}
 
 
+def test_trace_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
+    # (200000 // 4 + 1) * 3 * 10**6 lanes, far past 2**30: refused before any sieve
+    argv = ["trace", "--q", "1000000", "--u", "0", "--h", "200000", "--eta", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "symbol lanes" in err and "budget" in err
+    # trace --q 1000 --h 12 bounds its lanes by 4 * 3000
+    small = ["trace", "--q", "1000", "--u", "0", "--h", "12", "--eta", "0.15"]
+    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 11999)
+    code, out, err = run_cli(capsys, *small)
+    assert (code, out) == (1, "") and "budget" in err
+    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 12000)
+    assert run_cli(capsys, *small)[0] == 0
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError

@@ -5,17 +5,16 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qrstats import experiments
-from qrstats.arith import is_perfect_square, jacobi
+from qrstats.arith import jacobi
 from qrstats.errors import DegenerateSetError, ParameterError, ResourceError
 from qrstats.experiments import (
     ERDOS_X_BUDGET,
     WITNESS_CAP,
     ExceptionalDensity,
     ExceptionalState,
-    _square_product_pairs,
     check_erdos,
     check_exceptional,
     check_trace,
@@ -23,7 +22,6 @@ from qrstats.experiments import (
     erdos_mean,
     erdos_mean_curve,
     exceptional_blocks,
-    exceptional_density,
     exceptional_density_sweep,
     gap_tail_scan,
     h_multiples,
@@ -184,14 +182,14 @@ def test_erdos_mean_documented_range():
 # --- Exceptional-set density ---------------------------------------------
 
 def test_exceptional_pinned():
-    ed = exceptional_density(10**5, 0, 2)
+    ed = exceptional_density_sweep(10**5, 0, [2])[0]
     assert (ed.exceptional, ed.total_primes) == (4194, 8392)
     assert ed.density == 4194 / 8392
     assert not ed.u_exceeds_2q
 
 
 def test_exceptional_h1_matches_direct_scan():
-    ed = exceptional_density(200, 5, 1)
+    ed = exceptional_density_sweep(200, 5, [1])[0]
     brute = [p for p in primes_in(200, 400).tolist() if oracles.first_nonresidue_after(p, 5) > 1]
     assert ed.exceptional == len(brute)
     assert ed.witness_list == tuple(brute)
@@ -220,8 +218,8 @@ def test_exceptional_witness_cap():
 
 
 def test_exceptional_u_flag():
-    assert exceptional_density(10, 100, 1).u_exceeds_2q
-    assert not exceptional_density(10, 20, 1).u_exceeds_2q
+    assert exceptional_density_sweep(10, 100, [1])[0].u_exceeds_2q
+    assert not exceptional_density_sweep(10, 20, [1])[0].u_exceeds_2q
 
 
 def test_exceptional_worker_invariant():
@@ -430,8 +428,8 @@ def test_trace_small_h_matches_scalar_sums(u, h):
     assert t.S_direct == sum(sum(jacobi(n % p, p) for n in ns) ** 2 for p in primes)
     members = rough_set(eta, 2 * Q).members.tolist()
     assert t.S_rough == sum(sum(jacobi(n % m, m) for n in ns) ** 2 for m in members)
-    pairs = [(a, b) for a in ns for b in ns if is_perfect_square(a * b)]
-    assert t.square_pair_sum == sum(1 for a, b in pairs for m in members if math.gcd(m, a * b) == 1)
+    pairs = oracles.square_product_pairs(ns)
+    assert t.square_pair_sum == sum(1 for i, j in pairs for m in members if math.gcd(m, ns[i] * ns[j]) == 1)
 
 
 def test_trace_small_h_pinned():
@@ -447,6 +445,44 @@ def test_trace_regime_threshold():
     # at u = 10**4 the cut sits at sqrt(u)/log u = 10.857..
     assert proof_trace(10**4, 10**4, 11, 0.15).regime == "large-h"
     assert proof_trace(10**4, 10**4, 10, 0.15).regime == "small-h"
+
+
+def _window_set(u, h):
+    """N of proof_trace, built from its definition: the larger class mod 4
+    (ties to 1) of the square-free window in the large-h regime, every
+    n = 1 mod 4 of the window in the small-h regime."""
+    window = range(u + 1, u + h + 1)
+    if u >= 3 and h < math.sqrt(u) / math.log(u):
+        return "small-h", [n for n in window if n % 4 == 1]
+    ones, threes = ([n for n in window if n % 4 == r and oracles.is_squarefree_slow(n)] for r in (1, 3))
+    return "large-h", threes if len(threes) > len(ones) else ones
+
+
+@given(
+    st.integers(min_value=100, max_value=3000),
+    st.one_of(st.integers(min_value=0, max_value=10**4), st.integers(min_value=0, max_value=10**6),
+              st.integers(min_value=2**70, max_value=2**70 + 99)),
+    st.integers(min_value=8, max_value=60),
+    st.sampled_from([0.15, 0.2, 0.3, 0.45]),
+)
+@example(1000, 0, 12, 0.15)
+@example(10**4, 10**4, 11, 0.15)
+@example(10**4, 10**4, 10, 0.15)
+@example(10**4, 2**70 + 3, 9, 0.15)
+@example(3000, 10**6, 60, 0.3)
+@settings(max_examples=60, deadline=None)
+def test_trace_square_pairs_match_oracle(Q, u, h, eta):
+    # T and square_pair_sum against every ordered pair of N tested for a
+    # square product, and each pair's rough members counted by gcd
+    regime, ns = _window_set(u, h)
+    assume(len(ns) >= 2)
+    t = proof_trace(Q, u, h, eta)
+    assert (t.regime, t.N_size) == (regime, len(ns))
+    pairs = oracles.square_product_pairs(ns)
+    members = rough_set(eta, 2 * Q).members.tolist()
+    assert t.T == len(pairs)
+    assert t.square_pair_sum == sum(1 for i, j in pairs for m in members if math.gcd(m, ns[i] * ns[j]) == 1)
+    assert t.square_pair_bound == len(pairs) * len(members)
 
 
 def test_trace_u_past_range_is_flagged():
@@ -465,23 +501,6 @@ def test_trace_validation():
         proof_trace(1000, 0, 12, 0.08)
     with pytest.raises(DegenerateSetError):
         proof_trace(100, 0, 2, 0.3)
-
-
-@given(st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=8))
-def test_square_product_pairs_brute(ns):
-    got = set(_square_product_pairs(ns))
-    want = {
-        (i, j)
-        for i in range(len(ns))
-        for j in range(len(ns))
-        if is_perfect_square(ns[i] * ns[j])
-    }
-    assert got == want
-
-
-def test_square_product_pairs_diagonal():
-    assert set(_square_product_pairs([3, 5, 7])) == {(0, 0), (1, 1), (2, 2)}
-    assert (0, 1) in _square_product_pairs([2, 8])
 
 
 def test_check_erdos_raises_like_erdos_mean_curve():
@@ -540,6 +559,27 @@ def test_check_trace_raises_like_proof_trace():
         with pytest.raises(ParameterError):
             proof_trace(*args)
     check_trace(1000, 0, 12, 0.15)
+
+
+def test_trace_lane_budget(monkeypatch):
+    # proof_trace(1000, 0, 12, 0.15) bounds its lanes by (12 // 4 + 1) * 3000
+    def no_sieve(*args):
+        raise AssertionError("sieved before the lane budget was checked")
+
+    for name in ("primes_in", "rough_set", "squarefree_in_interval"):
+        monkeypatch.setattr(experiments, name, no_sieve)
+    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 11999)
+    for call in (check_trace, proof_trace):
+        with pytest.raises(ResourceError, match="symbol lanes"):
+            call(1000, 0, 12, 0.15)
+    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 12000)
+    check_trace(1000, 0, 12, 0.15)
+    monkeypatch.undo()
+    # Q = 10**5, h = 3200 bounds its lanes by 801 * 3 * 10**5, inside 2**30
+    assert experiments.TRACE_LANE_BUDGET == 2**30
+    check_trace(10**5, 0, 3200, 0.1)
+    with pytest.raises(ResourceError):
+        check_trace(10**6, 0, 200000, 0.1)
 
 
 def test_h_multiples():

