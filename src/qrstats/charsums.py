@@ -17,10 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import is_perfect_square
-from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError
+from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError, ResourceError
 from .residue_scan import _fixed_modulus
 from .rng import XorShift64Star
 from .sieve import RoughSet, check_rough, mertens_product, rough_set
+
+
+CHARSUM_LANE_BUDGET = 2**30
 
 
 def check_modulus(q: int) -> None:
@@ -95,15 +98,23 @@ class CharSumReport:
     nu_beyond_classical: bool
 
 
+def _check_lanes(lanes: int) -> None:
+    if lanes > CHARSUM_LANE_BUDGET:
+        raise ResourceError(f"up to {lanes} symbol lanes exceed the budget of {CHARSUM_LANE_BUDGET}")
+
+
 def check_burgess(M: int | None, q: int | None, nu: int) -> None:
-    """Preconditions of burgess_report: check_nonprincipal(q), M >= 1 and
-    nu >= 1.  None skips q or M, for a sweep that draws its own moduli or
-    uses the default length."""
+    """Preconditions of burgess_report: check_nonprincipal(q), M >= 1,
+    nu >= 1, and at most CHARSUM_LANE_BUDGET symbol lanes, M mod q, since
+    full periods of a non-square q sum to 0.  None skips q or M, for a
+    sweep that draws its own moduli or uses the default length."""
     if q is not None:
         check_nonprincipal(q)
     if M is not None and M < 1:
         raise ParameterError(f"need M >= 1, got {M}")
     _check_nu(nu)
+    if q is not None and M is not None:
+        _check_lanes(M % q)
 
 
 def burgess_report(M: int, q: int, nu: int = 2) -> CharSumReport:
@@ -130,7 +141,9 @@ def default_sweep_length(q: int) -> int:
 
 def check_sweep(count: int, q_lo: int, q_hi: int, nu: int = 2, M: int | None = None) -> None:
     """Preconditions of burgess_sweep: count >= 1, q_lo >= 3, q_hi >= q_lo + 3
-    so the range holds an odd non-square, and check_burgess on M and nu."""
+    so the range holds an odd non-square, check_burgess on M and nu, and
+    at most CHARSUM_LANE_BUDGET symbol lanes, count times M or
+    default_sweep_length(q_hi)."""
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
     if q_lo < 3:
@@ -138,6 +151,9 @@ def check_sweep(count: int, q_lo: int, q_hi: int, nu: int = 2, M: int | None = N
     if q_hi - q_lo < 3:
         raise ParameterError(f"range [{q_lo}, {q_hi}] too narrow to sample")
     check_burgess(M, None, nu)
+    # q_hi capped at the budget squared, whose length is already past the
+    # budget, so no float overflows
+    _check_lanes(count * (default_sweep_length(min(q_hi, CHARSUM_LANE_BUDGET**2)) if M is None else M))
 
 
 def burgess_sweep(

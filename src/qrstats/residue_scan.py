@@ -12,14 +12,15 @@ classified and runs cannot wrap.
 
 Every per-prime residue table (residue_map, gap_stats, longest_qr_run
 and the gap-tail scan) comes from one squaring kernel.  It marks
-k*k mod p for 1 <= k <= (p-1)/2 in a bool buffer and lists the unmarked
-classes of 1..p-1, the non-residues, in ascending order; the gap-tail
-scan skips the list and reads its long gaps as long residue runs in the
-marks.  Its buffers
-are kept per process (per thread, strictly) and grow to the next power
-of two, so a scan over ascending primes allocates nothing p-sized once
-warm; squares are taken in chunks of _SQUARE_CHUNK, so a p near
-RESIDUE_TABLE_BUDGET holds only small intermediates beside its table.
+k*k mod p for 1 <= k <= (p-1)/2 in a bool buffer, so the unmarked
+classes of 1..p-1 are the non-residues.  Only gap_stats lists them;
+longest_qr_run finds its widest run as zero machine words of the marks,
+and the gap-tail scan reads its long gaps as long residue runs in the
+marks.  Its buffers are kept per process (per thread, strictly) and
+grow to the next power of two, so a scan over ascending primes
+allocates nothing p-sized once warm; squares are taken in chunks of
+_SQUARE_CHUNK, so a table near RESIDUE_TABLE_BUDGET bytes has only
+small intermediates beside it.
 
 The same marks give the Legendre table of a prime l, (r|l) for
 0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
@@ -62,7 +63,7 @@ from .arith import _lanes, jacobi, jacobi_many
 from .errors import ParameterError, ResourceError, ScanError
 from .sieve import _base_primes, ascending_primes, check_window
 
-RESIDUE_TABLE_BUDGET = 2**31
+RESIDUE_TABLE_BUDGET = 2**30  # bytes
 
 _SQUARE_CHUNK = 1 << 16
 _POSITION_SLICE = 1 << 14
@@ -83,17 +84,19 @@ def _check_p(p: int) -> None:
         raise ParameterError(f"need an odd p >= 3, got {p}")
 
 
-def check_table(p: int) -> None:
-    """A residue table for p, or for any prime up to p, must fit
-    RESIDUE_TABLE_BUDGET."""
-    if p > RESIDUE_TABLE_BUDGET:
-        raise ResourceError(f"residue table for p up to {p} exceeds the budget of {RESIDUE_TABLE_BUDGET}")
-
-
 def _capacity(n: int) -> int:
     """The least power of two >= n, so an ascending scan regrows a buffer
     only when p doubles."""
     return 1 << (n - 1).bit_length()
+
+
+def check_table(p: int) -> None:
+    """The kernel's marks for p, or for any prime up to p, one byte a
+    class grown to _capacity(p), must fit RESIDUE_TABLE_BUDGET bytes."""
+    if _capacity(p) > RESIDUE_TABLE_BUDGET:
+        raise ResourceError(
+            f"residue table for p up to {p} needs {_capacity(p)} bytes, past the budget of {RESIDUE_TABLE_BUDGET}"
+        )
 
 
 class _SquareKernel(threading.local):
@@ -108,7 +111,6 @@ class _SquareKernel(threading.local):
     def __init__(self) -> None:
         self.marks = np.empty(0, dtype=bool)
         self.spare = np.empty(0, dtype=bool)
-        self.nonres = np.empty(0, dtype=np.int64)
         self.steps = np.empty(0, dtype=np.uint64)
         self.k = np.empty(0, dtype=np.uint64)
         self.sq = np.empty(0, dtype=np.uint64)
@@ -152,26 +154,6 @@ class _SquareKernel(threading.local):
         if self.spare.size < p:
             self.spare = np.empty(_capacity(p), dtype=bool)
         return self.spare[:p]
-
-    def nonresidues(self, p: int, owned: bool = False) -> np.ndarray:
-        """The ascending non-residues of p in [1, p-1]: a view of the
-        kernel's buffer, or a fresh array when owned."""
-        marks = self.square_marks(p)
-        count = int(np.count_nonzero(marks[1:]))
-        if owned:
-            n = np.empty(count, dtype=np.int64)
-        else:
-            if self.nonres.size < count:
-                self.nonres = np.empty(_capacity(count), dtype=np.int64)
-            n = self.nonres[:count]
-        # Slices keep each flatnonzero temporary under malloc's 128 KB
-        # mmap threshold, so it is recycled from the heap, not mapped anew.
-        pos = 0
-        for start in range(1, p, _POSITION_SLICE):
-            idx = np.flatnonzero(marks[start : start + _POSITION_SLICE])
-            np.add(idx, start, out=n[pos : pos + idx.size])
-            pos += idx.size
-        return n
 
     def cached(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The table stored under key, or build() kept for next time.
@@ -424,8 +406,17 @@ class GapStats:
 
 
 def gap_stats(p: int) -> GapStats:
-    """Enumerate the non-residues of p and difference them."""
-    n_seq = _KERNEL.nonresidues(p, owned=True)
+    """List the unmarked classes of 1..p-1 in the kernel's marks, the
+    non-residues, into a fresh array and difference them."""
+    marks = _KERNEL.square_marks(p)
+    n_seq = np.empty(int(np.count_nonzero(marks[1:])), dtype=np.int64)
+    # Slices keep each flatnonzero temporary under malloc's 128 KB mmap
+    # threshold, so it is recycled from the heap, not mapped anew.
+    pos = 0
+    for start in range(1, p, _POSITION_SLICE):
+        idx = np.flatnonzero(marks[start : start + _POSITION_SLICE])
+        np.add(idx, start, out=n_seq[pos : pos + idx.size])
+        pos += idx.size
     return GapStats(p, n_seq, np.diff(n_seq))
 
 
@@ -512,22 +503,69 @@ def first_nonresidues_after(P, u: int, cap: int | None = None) -> np.ndarray:
     )
 
 
+def _residue_runs(marks: np.ndarray, lo: int, hi: int, least: int) -> np.ndarray:
+    """The lengths of the maximal residue runs of at least least that lie
+    strictly between the non-residues at lo and hi - 1, in any order.
+
+    A run of at least 2w - 1 False bytes holds a w-byte aligned word that
+    is all zero, so with w the largest of 8, 4, 2 and 1 that has
+    2w - 1 <= least, one flatnonzero over the aligned words of
+    marks[lo:hi] finds every such run.  Consecutive zero words make one
+    run, which extends by fewer than w bytes on each side; those bytes
+    are gathered with clipping into [lo, hi), whose ends are non-residues.
+    """
+    w = next(w for w in (8, 4, 2, 1) if 2 * w - 1 <= least)
+    flags = marks[lo:hi]
+    head = -lo % w
+    count = (flags.size - head) // w
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    zero = np.flatnonzero(flags[head : head + count * w].view(f"u{w}") == 0)
+    if not zero.size:
+        return zero
+    split = np.flatnonzero(zero[1:] != zero[:-1] + 1)
+    start = zero[np.concatenate(([0], split + 1))] * w + head
+    end = zero[np.concatenate((split, [zero.size - 1]))] * w + head + w
+    runs = end - start
+    if w > 1:
+        # the first non-residue in the w - 1 bytes before and after each
+        # group; none there means the run takes all w - 1
+        reach = np.arange(1, w)
+        before = flags.take(start[:, None] - reach, mode="clip")
+        after = flags.take(end[:, None] + reach - 1, mode="clip")
+        for side in (before, after):
+            runs += np.where(side.any(axis=1), side.argmax(axis=1), w - 1)
+    return runs[runs >= least]
+
+
 def longest_qr_run(p: int, zero_as_residue: bool = True) -> int:
     """Longest run of consecutive integers all classified residues mod p.
 
     Under the default convention the classification has period p and the
     run is measured cyclically, so a run may straddle a multiple of p.
     Under zero_as_residue=False runs live strictly inside 1..p-1.
+
+    The run is read off the kernel's marks without listing the
+    non-residues: the first and last non-residue bound the runs at either
+    end, and _residue_runs finds the widest one between them, first on
+    8-byte words (runs of at least 15), then on 4-, 2- and 1-byte words
+    only while no run is that long.
     """
-    n = _KERNEL.nonresidues(p)
-    if not n.size:
+    marks = _KERNEL.square_marks(p)
+    nonres = marks[1:]
+    first = int(np.argmax(nonres)) + 1
+    if not marks[first]:
         raise ScanError(f"every class mod {p} marked residue; is p={p} prime?")
-    first, last = int(n[0]), int(n[-1])
-    deltas = np.subtract(n[1:], n[:-1], out=n[:-1])
-    widest = int(deltas.max()) if deltas.size else 0
+    last = _last_true(nonres) + 1
+    # marks, not nonres, so that aligned words are aligned in memory
+    for least in (15, 7, 3, 1):
+        runs = _residue_runs(marks, first, last + 1, least)
+        if runs.size:
+            break
+    widest = int(runs.max()) if runs.size else 0
     if zero_as_residue:
-        return max(widest, first + p - last) - 1
-    return max(widest - 1, first - 1, p - 1 - last)
+        return max(widest, first + p - last - 1)
+    return max(widest, first - 1, p - 1 - last)
 
 
 def check_crt(pairs: Sequence[tuple[int, int]]) -> None:

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrstats import charsums
 from qrstats.arith import jacobi
 from qrstats.charsums import (
     burgess_exponent,
@@ -22,6 +23,7 @@ from qrstats.errors import (
     InvalidModulusError,
     ParameterError,
     PerfectSquareModulusError,
+    ResourceError,
 )
 from qrstats.sieve import rough_set
 
@@ -214,6 +216,22 @@ def test_check_burgess_raises_like_burgess_report():
             burgess_report(*args)
     check_burgess(1, 7, 1)
     check_burgess(None, None, 2)
+
+
+def test_lane_budget_counts_m_mod_q_and_sweep_lengths(monkeypatch):
+    with pytest.raises(ResourceError, match="symbol lanes"):
+        check_burgess(10**13, 10**18 + 9, 2)
+    # full periods sum to 0: only M mod q lanes are evaluated
+    check_burgess(10**18 + 9 + 5, 10**18 + 9, 2)
+    # about 100 * 10**4 lanes, as the sums benchmark sweeps
+    check_sweep(100, 10**4, 10**6)
+    with pytest.raises(ResourceError):
+        check_sweep(2, 3, 10**400)
+    monkeypatch.setattr(charsums, "CHARSUM_LANE_BUDGET", 999_999)
+    for call in (lambda: check_sweep(100, 10**4, 10**6), lambda: burgess_sweep(100, 10**4, 10**6),
+                 lambda: check_sweep(3, 7, 100, M=333_334), lambda: burgess_report(10**6, 1_000_003)):
+        with pytest.raises(ResourceError):
+            call()
 
 
 def test_check_sweep_raises_like_burgess_sweep():

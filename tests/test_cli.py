@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import qrstats
 
 import oracles
-from qrstats import cli, experiments, render, residue_scan, sieve
+from qrstats import charsums, cli, experiments, render, residue_scan, sieve
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
     COMMANDS,
@@ -507,8 +507,10 @@ def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
     # nres builds no residue table
     assert parse_args(["nres", "--p", "100003"]).params == {"p": 100003}
     monkeypatch.undo()
-    # the same refusals at the real budget of 2**31, before anything is allocated
-    for argv in (["dp", "--p", "4294967311"],
+    # the same refusals at the real budget of 2**30 bytes, before anything
+    # is allocated; 2**31 - 1 would grow a 2 GiB marks buffer
+    for argv in (["dp", "--p", "2147483647"],
+                 ["dp", "--p", "4294967311"],
                  ["gaps", "--p", "4294967311", "--tail", "--h", "3"],
                  ["dp", "--lo", "3000000000", "--hi", "3000000100"],
                  ["gaps", "--lo", "3000000000", "--hi", "3000000100", "--tail", "--h", "5"]):
@@ -532,6 +534,26 @@ def test_trace_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
     assert (code, out) == (1, "") and "budget" in err
     monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 12000)
     assert run_cli(capsys, *small)[0] == 0
+
+
+def test_charsum_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
+    # 10**13 lanes on the Euclid loop: refused before any symbol
+    argv = ["charsum", "--q", "1000000000000000009", "--M", "10000000000000"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "symbol lanes" in err and "budget" in err
+    # one q sums M mod q lanes, 3000 mod 1009 = 982; a sweep count times
+    # M, or times ceil(q_hi**(2/3)) = 159
+    for lanes, small in ((982, ["charsum", "--q", "1009", "--M", "3000"]),
+                         (150, ["charsum", "--sweep", "--count", "3", "--q-lo", "1000", "--q-hi", "2000", "--M", "50", "--seed", "1"]),
+                         (477, ["charsum", "--sweep", "--count", "3", "--q-lo", "1000", "--q-hi", "2000", "--seed", "1"])):
+        monkeypatch.setattr(charsums, "CHARSUM_LANE_BUDGET", lanes - 1)
+        code, out, err = run_cli(capsys, *small)
+        assert (code, out) == (1, "") and "budget" in err
+        monkeypatch.setattr(charsums, "CHARSUM_LANE_BUDGET", lanes)
+        assert run_cli(capsys, *small)[0] == 0
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):

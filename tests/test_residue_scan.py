@@ -234,6 +234,66 @@ def test_longest_qr_run_cyclic_dominates_interior(p):
     assert longest_qr_run(p, True) >= longest_qr_run(p, False)
 
 
+# The widest residue run strictly between the first and last non-residue
+# is 0 (3, 5), 1 (7), 2 (13), 3 (11), 6 (67), 7 (83), 14 (1607) and
+# 15 (2543), the edges of each word width.  Past 10**5: the widest run of
+# 100207 (22) and 100363 (15) starts and ends off an 8-byte boundary, and
+# the cyclic run of 102001 (45) and 100799 (17) wraps through 0.
+RUN_PRIMES = {3: 0, 5: 0, 7: 1, 13: 2, 11: 3, 67: 6, 83: 7, 1607: 14, 2543: 15,
+              100207: 22, 100363: 15, 102001: 22, 100799: 13}
+
+
+def _runs_brute(marks, lo, hi):
+    """The lengths of the maximal False runs of marks[lo:hi], one by one."""
+    runs, length = [], 0
+    for flag in marks[lo:hi].tolist() + [True]:
+        if not flag:
+            length += 1
+        elif length:
+            runs.append(length)
+            length = 0
+    return sorted(runs)
+
+
+@pytest.mark.parametrize("p", sorted(RUN_PRIMES))
+def test_residue_runs_finds_every_run_of_each_width(p):
+    marks = _KERNEL.square_marks(p).copy()
+    nonres = np.flatnonzero(marks[1:]) + 1
+    lo, hi = int(nonres[0]), int(nonres[-1]) + 1
+    runs = _runs_brute(marks, lo, hi)
+    assert max(runs, default=0) == RUN_PRIMES[p]
+    for least in range(1, 24):
+        got = residue_scan._residue_runs(marks, lo, hi, least)
+        assert sorted(got.tolist()) == [r for r in runs if r >= least], least
+
+
+@pytest.mark.parametrize("p", sorted(RUN_PRIMES))
+def test_longest_qr_run_drops_word_width_only_when_no_run_fits(p, monkeypatch):
+    # 8-byte words answer every widest run of 15 or more in one pass
+    asked = []
+
+    def spy(marks, lo, hi, least):
+        asked.append(least)
+        return finder(marks, lo, hi, least)
+
+    finder = residue_scan._residue_runs
+    monkeypatch.setattr(residue_scan, "_residue_runs", spy)
+    widest = RUN_PRIMES[p]
+    passes = next(i + 1 for i, least in enumerate((15, 7, 3, 1, 0)) if least <= widest)
+    for flag in (True, False):
+        asked.clear()
+        assert longest_qr_run(p, flag) == longest_run_brute(p, flag)
+        assert asked == [15, 7, 3, 1][:passes]
+    # the cyclic run wraps through 0 past the widest run inside 1..p-1
+    assert (longest_qr_run(p) > widest) == (p in (3, 5, 7, 13, 102001, 100799))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([int(p) for p in primes_in(10**3, 3 * 10**4).tolist()]), st.booleans())
+def test_longest_qr_run_matches_brute_force_past_15(p, zero_as_residue):
+    assert longest_qr_run(p, zero_as_residue) == longest_run_brute(p, zero_as_residue)
+
+
 # --- the squaring kernel -------------------------------------------------
 
 def _kernel_order():
@@ -277,7 +337,7 @@ def test_gap_stats_never_aliases_the_kernel():
         _gap_tail_row(10037, 4)
     assert np.array_equal(gs.n_seq, n_seq)
     assert np.array_equal(gs.deltas, deltas)
-    for buffer in (_KERNEL.marks, _KERNEL.nonres):
+    for buffer in (_KERNEL.marks, _KERNEL.spare):
         assert not np.shares_memory(gs.n_seq, buffer)
         assert not np.shares_memory(gs.deltas, buffer)
 
