@@ -24,6 +24,8 @@ from .sieve import RoughSet, check_rough, mertens_product, rough_set
 
 
 CHARSUM_LANE_BUDGET = 2**30
+# The benchmarks are floats: q, M and nu below this keep every power in them finite
+_FLOAT_BOUND = 2**1023
 
 
 def check_modulus(q: int) -> None:
@@ -69,9 +71,15 @@ def incomplete_char_sum(M: int, q: int) -> int:
     return full * _symbol_sum(1, q + 1, q) + tail
 
 
+def _check_float(name: str, value: int) -> None:
+    if value >= _FLOAT_BOUND:
+        raise ResourceError(f"{name} of {value.bit_length()} bits is past the float range of the benchmark, 2**1023")
+
+
 def _check_nu(nu: int) -> None:
     if nu < 1:
         raise ParameterError(f"need nu >= 1, got {nu}")
+    _check_float("nu", nu)
 
 
 def burgess_exponent(nu: int) -> float:
@@ -105,13 +113,17 @@ def _check_lanes(lanes: int) -> None:
 
 def check_burgess(M: int | None, q: int | None, nu: int) -> None:
     """Preconditions of burgess_report: check_nonprincipal(q), M >= 1,
-    nu >= 1, and at most CHARSUM_LANE_BUDGET symbol lanes, M mod q, since
+    nu >= 1, q, M and nu below 2**1023 so the benchmark is a finite
+    float, and at most CHARSUM_LANE_BUDGET symbol lanes, M mod q, since
     full periods of a non-square q sum to 0.  None skips q or M, for a
     sweep that draws its own moduli or uses the default length."""
     if q is not None:
+        _check_float("q", q)
         check_nonprincipal(q)
-    if M is not None and M < 1:
-        raise ParameterError(f"need M >= 1, got {M}")
+    if M is not None:
+        if M < 1:
+            raise ParameterError(f"need M >= 1, got {M}")
+        _check_float("M", M)
     _check_nu(nu)
     if q is not None and M is not None:
         _check_lanes(M % q)
@@ -141,19 +153,18 @@ def default_sweep_length(q: int) -> int:
 
 def check_sweep(count: int, q_lo: int, q_hi: int, nu: int = 2, M: int | None = None) -> None:
     """Preconditions of burgess_sweep: count >= 1, q_lo >= 3, q_hi >= q_lo + 3
-    so the range holds an odd non-square, check_burgess on M and nu, and
-    at most CHARSUM_LANE_BUDGET symbol lanes, count times M or
-    default_sweep_length(q_hi)."""
+    so the range holds an odd non-square, q_hi below 2**1023,
+    check_burgess on M and nu, and at most CHARSUM_LANE_BUDGET symbol
+    lanes, count times M or default_sweep_length(q_hi)."""
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
     if q_lo < 3:
         raise ParameterError(f"need q_lo >= 3, got {q_lo}")
     if q_hi - q_lo < 3:
         raise ParameterError(f"range [{q_lo}, {q_hi}] too narrow to sample")
+    _check_float("q_hi", q_hi)
     check_burgess(M, None, nu)
-    # q_hi capped at the budget squared, whose length is already past the
-    # budget, so no float overflows
-    _check_lanes(count * (default_sweep_length(min(q_hi, CHARSUM_LANE_BUDGET**2)) if M is None else M))
+    _check_lanes(count * (default_sweep_length(q_hi) if M is None else M))
 
 
 def burgess_sweep(

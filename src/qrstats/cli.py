@@ -356,11 +356,12 @@ def _range_params(ns) -> dict[str, Any]:
     return {"lo": ns.lo, "hi": ns.hi}
 
 
-def _table_params(ns) -> dict[str, Any]:
+def _table_params(ns, buffers: int = 1) -> dict[str, Any]:
     """_range_params for runs that build a residue table per prime, each
-    p of which (the largest is --p or at most --hi) must fit its budget."""
+    p of which (the largest is --p or at most --hi) must fit its budget
+    in as many p-sized buffers as the run holds (see check_table)."""
     params = _range_params(ns)
-    check_table(params.get("p", params.get("hi")))
+    check_table(params.get("p", params.get("hi")), buffers)
     return params
 
 
@@ -404,7 +405,7 @@ def _run_dup(config: RunConfig):
 
 
 def _gaps_params(ns) -> dict[str, Any]:
-    params = _table_params(ns)
+    params = _table_params(ns, buffers=2 if ns.tail else 1)
     if ns.tail:
         if (ns.h is None) == (ns.h_rule is None):
             raise _UsageError("--tail needs exactly one of --h or --h-rule")

@@ -90,12 +90,14 @@ def _capacity(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def check_table(p: int) -> None:
-    """The kernel's marks for p, or for any prime up to p, one byte a
-    class grown to _capacity(p), must fit RESIDUE_TABLE_BUDGET bytes."""
-    if _capacity(p) > RESIDUE_TABLE_BUDGET:
+def check_table(p: int, buffers: int = 1) -> None:
+    """The kernel's buffers for p, or for any prime up to p, one byte a
+    class grown to _capacity(p), must fit RESIDUE_TABLE_BUDGET bytes:
+    the marks alone, or with the spare flags of the gap-tail scan (2)."""
+    size = buffers * _capacity(p)
+    if size > RESIDUE_TABLE_BUDGET:
         raise ResourceError(
-            f"residue table for p up to {p} needs {_capacity(p)} bytes, past the budget of {RESIDUE_TABLE_BUDGET}"
+            f"residue table for p up to {p} needs {size} bytes, past the budget of {RESIDUE_TABLE_BUDGET}"
         )
 
 
@@ -458,6 +460,7 @@ def _gap_tail_of(p: int, h: int) -> tuple[int, int]:
     nothing p-sized is allocated.
     """
     check_tail(h)
+    check_table(p, buffers=2)
     nonres = _KERNEL.square_marks(p)[1:]
     n = p - 1
     if h == 1:

@@ -61,6 +61,7 @@ TABLE_BUDGET, so every endpoint stays below (TABLE_BUDGET + 1)**2, about
 SEGMENT = 1 << 20
 SPAN_BUDGET = 10**9
 TABLE_BUDGET = 10**8
+FLAG_BUDGET = 2**28  # bytes: the h + 1 flags of one square-free window
 
 _STRIDE_LIMIT = 1 << 12
 
@@ -374,11 +375,13 @@ def check_window(u: int, h: int = 1) -> None:
 
 
 def check_squarefree(u: int, h: int) -> None:
-    """Preconditions of squarefree_in_interval: check_window, and the
-    sieved range [u+1, u+h+1] within the endpoint, span and table budgets
-    of check_range."""
+    """Preconditions of squarefree_in_interval: check_window, the sieved
+    range [u+1, u+h+1] within the endpoint, span and table budgets of
+    check_range, and its h + 1 flag bytes within FLAG_BUDGET."""
     check_window(u, h)
     _check_budgets(u + 1, u + h + 1)
+    if h + 1 > FLAG_BUDGET:
+        raise ResourceError(f"window of h={h} needs {h + 1} flag bytes, past the budget of {FLAG_BUDGET}")
 
 
 def squarefree_in_interval(u: int, h: int) -> SquarefreeWindow:

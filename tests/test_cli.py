@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qrstats
 
@@ -30,6 +30,7 @@ from qrstats.cli import (
     main,
     parse_args,
 )
+from qrstats.errors import ResourceError
 from qrstats.experiments import exceptional_blocks, exceptional_density_sweep
 from qrstats.rng import XorShift64Star
 from qrstats.sieve import primes_in
@@ -556,6 +557,62 @@ def test_charsum_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
         assert run_cli(capsys, *small)[0] == 0
 
 
+def test_charsum_past_float_range_exits_1_at_parse_time(capsys):
+    # the benchmark is a float: q, M or nu of 10**400 would overflow it
+    big = str(10**400)
+    for argv in (["charsum", "--q", str(10**400 + 1), "--M", "5"],
+                 ["charsum", "--sweep", "--count", "1", "--q-lo", big, "--q-hi", str(10**400 + 10), "--M", "5",
+                  "--seed", "1"],
+                 ["charsum", "--q", "7", "--M", big],
+                 ["charsum", "--q", "7", "--M", "5", "--nu", big]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and "float range" in err
+    # just below the bound the benchmark stays finite
+    code, out, _ = run_cli(capsys, "charsum", "--q", "7", "--M", str(2**1023 - 1))
+    assert code == 0 and "inf" not in out
+
+
+def test_gap_tail_budget_counts_the_spare_flags(monkeypatch, capsys):
+    # the tail scan holds the marks and as many spare flags, 2 * 2**30
+    # bytes for any p up to 2**30
+    argv = ["gaps", "--lo", "1073741000", "--hi", "1073741823", "--tail", "--h-rule", "quarter"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "2147483648 bytes" in err and "budget" in err
+    assert parse_args(["dp", "--lo", "1073741000", "--hi", "1073741823"]).params["hi"] == 1073741823
+    # 100003 grows buffers of 2**17 bytes: one fits 2**17, two need 2**18
+    monkeypatch.setattr(residue_scan, "RESIDUE_TABLE_BUDGET", 1 << 17)
+    code, out, err = run_cli(capsys, "gaps", "--p", "100003", "--tail", "--h", "3")
+    assert (code, out) == (1, "") and "budget" in err
+    with pytest.raises(ResourceError):
+        residue_scan._gap_tail_of(100003, 3)
+    assert run_cli(capsys, "dp", "--p", "100003")[0] == 0
+    monkeypatch.setattr(residue_scan, "RESIDUE_TABLE_BUDGET", 1 << 18)
+    assert run_cli(capsys, "gaps", "--p", "100003", "--tail", "--h", "3")[0] == 0
+
+
+def test_sfree_flag_budget_exits_1_at_parse_time(monkeypatch, capsys):
+    # 10**9 + 1 flag bytes, inside the span budget
+    argv = ["sfree", "--u", "0", "--h", "1000000000"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "flag bytes" in err and "budget" in err
+    # a window of h holds h + 1 flags
+    monkeypatch.setattr(sieve, "FLAG_BUDGET", 51)
+    code, out, err = run_cli(capsys, "sfree", "--u", "10", "--h", "51")
+    assert (code, out) == (1, "") and "budget" in err
+    with pytest.raises(ResourceError):
+        sieve.squarefree_in_interval(10, 51)
+    assert run_cli(capsys, "sfree", "--u", "10", "--h", "50")[0] == 0
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError
@@ -656,26 +713,72 @@ def test_columnar_render_equals_reference(capsys, argv, fmt):
     assert out == reference
 
 
-@pytest.mark.parametrize("chunk_rows", [2, 1 << 16])
+# decimal edges: 10**k - 1 and 10**k for every width a uint64 holds, so
+# odd and even digit counts sit side by side in one chunk
+_DECIMAL_EDGES = [0, 9, 10, 99, 100] + [10**k + d for k in range(3, 20) for d in (-1, 0)]
+_INT64_EDGES = sorted({s * e for e in _DECIMAL_EDGES for s in (1, -1) if e < 2**63} | {-(2**63), 2**63 - 1})
+_UINT64_EDGES = _DECIMAL_EDGES + [2**63, 2**64 - 1]
+_FLOAT_EDGES = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 1e16, 1 / 3, 0.1, 5e-324]
+_KINDS = {
+    "i64": st.sampled_from(_INT64_EDGES) | st.integers(-(2**63), 2**63 - 1),
+    "u64": st.sampled_from(_UINT64_EDGES) | st.integers(0, 2**64 - 1),
+    "ints": st.sampled_from(_INT64_EDGES) | st.integers(-(2**63), 2**63 - 1),
+    "big": st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**30]) | st.integers(-(2**70), 2**70),
+    "f64": st.sampled_from(_FLOAT_EDGES) | st.floats(),
+    "floats": st.sampled_from(_FLOAT_EDGES) | st.floats(),
+    "np_floats": st.sampled_from(_FLOAT_EDGES) | st.floats(),
+    "flags": st.booleans(),
+    "np_flags": st.booleans(),
+    "text": st.sampled_from(["zero_as_residue", "", "é", "√2,∞", "a\"b"]) | st.text(st.characters(blacklist_categories=("Cs",))),
+}
+
+
+@st.composite
+def _value_kind_rows(draw):
+    rows = draw(st.integers(1, 12))
+    return {name: draw(st.lists(kind, min_size=rows, max_size=rows)) for name, kind in _KINDS.items()}
+
+
+def _every_edge():
+    """One table holding every edge value of every kind."""
+    size = max(len(_INT64_EDGES), len(_UINT64_EDGES))
+
+    def cycle(values):
+        return [values[i % len(values)] for i in range(size)]
+
+    return {
+        "i64": cycle(_INT64_EDGES), "u64": cycle(_UINT64_EDGES), "ints": cycle(_INT64_EDGES[::-1]),
+        "big": cycle([2**64 + 1, -(2**70), 3, 10**30, 18446744073709551557]),
+        "f64": cycle(_FLOAT_EDGES), "floats": cycle(_FLOAT_EDGES[::-1]), "np_floats": cycle(_FLOAT_EDGES),
+        "flags": cycle([True, False, False]), "np_flags": cycle([False, True]),
+        "text": cycle(["zero_as_residue", "é", "", "√2,∞"]),
+    }
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1 << 14])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_columnar_render_of_every_value_kind(monkeypatch, fmt, chunk_rows):
-    monkeypatch.setattr(render, "CHUNK_ROWS", chunk_rows)
-    floats = [0.1, 1e16, 1 / 3, -0.0, float("inf")]
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(values=_value_kind_rows())
+@example(values=_every_edge())
+def test_columnar_render_of_every_value_kind(fmt, chunk_rows, values):
     body = render.table(
-        ["i64", "big", "u64", "f64", "floats", "np_floats", "flags", "np_flags", "convention"],
-        np.array([-(2**63), 2**63 - 1, 0, -1, 7], dtype=np.int64),
-        [2**64 + 1, -(2**70), 3, 10**30, 18446744073709551557],
-        np.array([2**64 - 1, 0, 1, 2**63, 5], dtype=np.uint64),
-        np.array(floats),
-        floats,
-        [np.float64(v) for v in floats],
-        [True, False, True, False, True],
-        np.array([False, True, False, True, False]),
-        ["zero_as_residue"] * 5,
+        list(values),
+        np.array(values["i64"], dtype=np.int64),
+        np.array(values["u64"], dtype=np.uint64),
+        values["ints"],  # a list np.asarray makes int64
+        values["big"],  # Python ints, past 64 bits or not
+        np.array(values["f64"]),
+        values["floats"],
+        [np.float64(v) for v in values["np_floats"]],
+        values["flags"],
+        np.array(values["np_flags"]),
+        values["text"],
     )
     config = RunConfig(subcommand="dp", params={"p": 7, "tail": False, "ratio": 0.1}, output_format=fmt,
                        zero_as_residue=False)
-    reference, text = _rendered(config, body, {"max_c1": 1 / 3, "flag": True})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "CHUNK_ROWS", chunk_rows)
+        reference, text = _rendered(config, body, {"max_c1": 1 / 3, "flag": True})
     assert text == reference
 
 
@@ -732,8 +835,9 @@ def test_rendering_holds_a_few_chunks_not_the_document(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one chunk's cells (Python ints) and row strings take about eight
-    # times its text; the whole document would take 38 times and more
+    # one chunk's cell matrices, byte matrix, mask and text, as bytes and
+    # as str, take about eight times its text; the whole document would
+    # take 38 times and more
     assert peak - before < 10 * chunk
 
 
