@@ -22,7 +22,9 @@ Exit codes: 0 success; 1 usage error, any violated precondition
 included (the sieve, table, residue-table, x and row budgets among
 them), found at parse time before anything is computed; 2 resource
 budget, computation, file or memory error, or any other failure while
-running (message on standard error, nothing on standard output).
+running (message on standard error, nothing on standard output); 141
+(128 + SIGPIPE) when the reader of standard output closed it early, with
+nothing on standard error.
 """
 
 from __future__ import annotations
@@ -654,13 +656,17 @@ def run(config: RunConfig) -> int:
     rendered, so a failure part way through a computation leaves standard
     output (or the --out file) untouched.  The chunks are written as they
     are rendered; the --out file is replaced whole (see _write_atomic),
-    so a failed write leaves it untouched too.
+    so a failed write leaves it untouched too.  Standard output is
+    flushed here, so a reader that closed it early raises
+    BrokenPipeError from this call, which main turns into exit code 141
+    (128 + SIGPIPE) with nothing on standard error.
     """
     body, extra = COMMANDS[config.subcommand].run(config)
     render = render_json if config.output_format == "json" else render_csv
     chunks = render(_meta(config, extra), body)
     if config.output_path is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
     else:
         _write_atomic(config.output_path, chunks)
     return 0
@@ -673,6 +679,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return run(config)
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the interpreter's last flush of
+        # what is still buffered neither fails nor prints.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (QRStatsError, OSError, MemoryError) as exc:
         message = str(exc) or type(exc).__name__
     except Exception as exc:  # a fault of this program: still exit 2, not a traceback

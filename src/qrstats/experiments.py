@@ -39,7 +39,7 @@ from .sieve import (
     MAX_ENDPOINT,
     SPAN_BUDGET,
     ascending_primes,
-    check_eta,
+    check_rough,
     check_window,
     feller_tornier_A,
     primes_in,
@@ -554,18 +554,19 @@ def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, in
 
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
     """Preconditions of proof_trace: check_exceptional for the one h,
-    h < Q, at most TRACE_LANE_BUDGET symbol lanes, 0 < eta < 1 and
-    2 <= (2Q)**eta < Q, the last read off rough_threshold.  The lanes are
-    |N| times the primes of [Q, 2Q] plus the rough members of [1, 2Q],
-    bounded by (h // 4 + 1) * 3Q, since N holds one residue class mod 4
-    of the window."""
+    h < Q, at most TRACE_LANE_BUDGET symbol lanes, check_rough for the
+    rough mask over [1, 2Q] (0 < eta < 1 and 2Q within the sieve's
+    TABLE_BUDGET), and 2 <= (2Q)**eta < Q, read off rough_threshold.  The
+    lanes are |N| times the primes of [Q, 2Q] plus the rough members of
+    [1, 2Q], bounded by (h // 4 + 1) * 3Q, since N holds one residue
+    class mod 4 of the window."""
     check_exceptional(Q, u, [h])
     if h >= Q:
         raise ParameterError(f"need h < Q for the one-multiple-per-window bound, got h={h}, Q={Q}")
     lanes = (h // 4 + 1) * 3 * Q
     if lanes > TRACE_LANE_BUDGET:
         raise ResourceError(f"up to {lanes} symbol lanes for h={h}, Q={Q} exceed the budget of {TRACE_LANE_BUDGET}")
-    check_eta(eta)
+    check_rough(eta, 2 * Q)
     cutoff = rough_threshold(eta, 2 * Q)
     if cutoff >= Q:
         raise ParameterError(f"(2Q)**eta must stay below Q for eta={eta}, Q={Q}")

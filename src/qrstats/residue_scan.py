@@ -18,9 +18,14 @@ longest_qr_run finds its widest run as zero machine words of the marks,
 and the gap-tail scan reads its long gaps as long residue runs in the
 marks.  Its buffers are kept per process (per thread, strictly) and
 grow to the next power of two, so a scan over ascending primes
-allocates nothing p-sized once warm; squares are taken in chunks of
-_SQUARE_CHUNK, so a table near RESIDUE_TABLE_BUDGET bytes has only
-small intermediates beside it.
+allocates nothing p-sized once warm.  The squares k*k do not depend on
+p, only their reduction does, so they come from one read-only uint64
+table per process, _squares, shared by every prime and thread: built on
+first use (never at import), grown by doubling, and capped at
+_SQUARES_CAP entries (8 MiB), which covers every p < 2**21; a chunk of
+k past the cap squares its own k.  Squares are reduced and scattered
+in chunks of _SQUARE_CHUNK (256 KiB of uint64), so a table near
+RESIDUE_TABLE_BUDGET bytes has only small intermediates beside it.
 
 The same marks give the Legendre table of a prime l, (r|l) for
 0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
@@ -65,7 +70,12 @@ from .sieve import _base_primes, ascending_primes, check_window
 
 RESIDUE_TABLE_BUDGET = 2**30  # bytes
 
-_SQUARE_CHUNK = 1 << 16
+# Squares are reduced 2**15 at a time (256 KiB of uint64).  Interleaved
+# timings of 2**12 to 2**16 at p near 1.25*10**5 and 10**6 (2-vCPU Xeon,
+# 2 MiB L2 a core, numpy 2.4) read 2**15 best, 2**14 and 2**16 within a
+# few percent, and 2**12 up to 6% slower than squaring every k per prime.
+_SQUARE_CHUNK = 1 << 15
+_SQUARES_CAP = 1 << 20  # entries of _square_table, 8 MiB
 _POSITION_SLICE = 1 << 14
 
 _TABLE_COST = 32
@@ -101,6 +111,35 @@ def check_table(p: int, buffers: int = 1) -> None:
         )
 
 
+_square_table = np.empty(0, dtype=np.uint64)
+_square_lock = threading.Lock()
+
+
+def _squares(n: int) -> np.ndarray:
+    """(j+1)**2 for 0 <= j < min(n, _SQUARES_CAP), as a read-only uint64
+    slice of one table per process.
+
+    The table starts empty and grows only when a request passes its
+    size, to the next power of two (capped at _SQUARES_CAP), so an
+    ascending scan grows it O(log) times.  A growth replaces the table
+    under a lock and never writes one in place, so a thread still reading
+    the old table reads it whole; fork-pool workers inherit the table
+    their parent built.
+    """
+    global _square_table
+    n = min(n, _SQUARES_CAP)
+    table = _square_table
+    if table.size < n:
+        with _square_lock:
+            table = _square_table
+            if table.size < n:
+                table = np.arange(1, min(_capacity(n), _SQUARES_CAP) + 1, dtype=np.uint64)
+                np.multiply(table, table, out=table)
+                table.flags.writeable = False
+                _square_table = table
+    return table[:n]
+
+
 class _SquareKernel(threading.local):
     """The one squaring kernel behind every per-prime residue table.
 
@@ -108,14 +147,15 @@ class _SquareKernel(threading.local):
     they grow to the next power of two and are never freed, so a warm
     scan allocates nothing p-sized.  Each call overwrites what the last
     one returned, so callers finish with a view before the next call.
+    The squares themselves are not the kernel's: they are read from the
+    process-wide _squares table (up to 8 MiB, built on first use), and
+    only reduced mod p in the kernel's one chunk buffer.
     """
 
     def __init__(self) -> None:
         self.marks = np.empty(0, dtype=bool)
         self.spare = np.empty(0, dtype=bool)
-        self.steps = np.empty(0, dtype=np.uint64)
-        self.k = np.empty(0, dtype=np.uint64)
-        self.sq = np.empty(0, dtype=np.uint64)
+        self.chunk = np.empty(0, dtype=np.uint64)
         self.tables: dict = {}
         self.table_bytes = 0
 
@@ -127,27 +167,28 @@ class _SquareKernel(threading.local):
         if self.marks.size < p:
             self.marks = np.empty(_capacity(p), dtype=bool)
         half = (p - 1) // 2
-        if self.steps.size < min(half, _SQUARE_CHUNK):
-            size = min(_capacity(half), _SQUARE_CHUNK)
-            self.steps = np.arange(size, dtype=np.uint64)
-            self.k = np.empty(size, dtype=np.uint64)
-            self.sq = np.empty(size, dtype=np.uint64)
+        if self.chunk.size < min(half, _SQUARE_CHUNK):
+            self.chunk = np.empty(min(_capacity(half), _SQUARE_CHUNK), dtype=np.uint64)
         marks = self.marks[:p]
         marks.fill(True)
+        squares = _squares(half)
         P = np.uint64(p)
-        for start in range(1, half + 1, _SQUARE_CHUNK):
-            m = min(_SQUARE_CHUNK, half + 1 - start)
-            k, sq = self.k[:m], self.sq[:m]
-            np.add(self.steps[:m], start, out=k)
-            np.multiply(k, k, out=sq)
-            # k*k - (k*k // p) * p, with k reused for the quotient: a
-            # scalar floor_divide is several times faster than %.
-            np.floor_divide(sq, P, out=k)
-            np.multiply(k, P, out=k)
-            np.subtract(sq, k, out=sq)
+        for lo in range(0, half, _SQUARE_CHUNK):
+            hi = min(lo + _SQUARE_CHUNK, half)
+            r = self.chunk[: hi - lo]
+            if hi <= squares.size:
+                sq = squares[lo:hi]
+            else:  # past the table's cap: this chunk squares its own k
+                sq = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+                np.multiply(sq, sq, out=sq)
+            # k*k - (k*k // p) * p: a scalar floor_divide is several times
+            # faster than %.
+            np.floor_divide(sq, P, out=r)
+            np.multiply(r, P, out=r)
+            np.subtract(sq, r, out=r)
             # An int64 index scatters directly; a uint64 one is first
             # copied to intp.
-            marks[sq.view(np.int64)] = False
+            marks[r.view(np.int64)] = False
         return marks
 
     def spare_flags(self, p: int) -> np.ndarray:

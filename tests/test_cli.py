@@ -537,6 +537,43 @@ def test_trace_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
     assert run_cli(capsys, *small)[0] == 0
 
 
+def test_trace_rough_mask_budget_exits_1_at_parse_time(monkeypatch, capsys):
+    # 3.6 * 10**8 lanes pass the lane budget, but the rough mask over
+    # [1, 2Q] would be 1.2 * 10**8 flags: refused before any sieve
+    def computed(*args):
+        raise AssertionError("trace computed past parse time")
+
+    monkeypatch.setattr(cli, "proof_trace", computed)
+    argv = ["trace", "--q", "60000000", "--u", "0", "--h", "5", "--eta", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "rough mask up to 120000000" in err and "budget" in err
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 1999)
+    with pytest.raises(ResourceError, match="rough mask up to 2000 "):
+        experiments.check_trace(1000, 0, 12, 0.15)
+    monkeypatch.setattr(sieve, "TABLE_BUDGET", 2000)
+    experiments.check_trace(1000, 0, 12, 0.15)
+
+
+def test_broken_pipe_exits_141_quietly():
+    # the reader takes one line and closes the pipe; the body is about 8 MB
+    src = os.path.dirname(os.path.dirname(qrstats.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "qrstats.cli", "gaps", "--p", "999983"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"# tool: qrstats ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (141, b"")
+
+
 def test_charsum_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
     # 10**13 lanes on the Euclid loop: refused before any symbol
     argv = ["charsum", "--q", "1000000000000000009", "--M", "10000000000000"]

@@ -325,6 +325,81 @@ def test_kernel_tables_match_oracles_in_any_order():
             assert _gap_tail_row(p, h)[2:4] == gap_tail(gs, h)
 
 
+def _marks_want(p):
+    want = np.ones(p, dtype=bool)
+    want[list(squares_mod(p))] = False
+    return want
+
+
+def _chunk_edge_primes(chunk):
+    """For each offset -1, 0 and 1, the least prime p whose (p-1)/2 is
+    c * chunk + offset for some c >= 1."""
+    found = []
+    for offset in (-1, 0, 1):
+        c = 1
+        while not sieve.is_prime_u64(2 * (c * chunk + offset) + 1):
+            c += 1
+        found.append(2 * (c * chunk + offset) + 1)
+    return found
+
+
+def _fresh_squares(monkeypatch, cap=None):
+    """Start the shared squares table empty, under an optional smaller
+    cap, for this test only."""
+    monkeypatch.setattr(residue_scan, "_square_table", np.empty(0, dtype=np.uint64))
+    if cap is not None:
+        monkeypatch.setattr(residue_scan, "_SQUARES_CAP", cap)
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_kernel_marks_at_chunk_edges_in_any_order(monkeypatch, chunk):
+    # (p-1)/2 just below, on and just past a multiple of the chunk size,
+    # for the real chunk (131071, 65537, 65539) and a small one (127, 257, 131)
+    if chunk is not None:
+        monkeypatch.setattr(residue_scan, "_SQUARE_CHUNK", chunk)
+    _fresh_squares(monkeypatch)
+    edges = _chunk_edge_primes(residue_scan._SQUARE_CHUNK)
+    primes = edges + [3, 5, 7, 8191, 1021]
+    want = {p: _marks_want(p) for p in primes}
+    rng = random.Random(21)
+    for _ in range(2):
+        for p in rng.sample(primes, len(primes)):
+            assert np.array_equal(_KERNEL.square_marks(p), want[p]), p
+    assert residue_scan._square_table.size <= residue_scan._SQUARES_CAP
+
+
+@pytest.mark.parametrize("cap, chunk", [(1024, None), (1000, 256), (1024, 256)])
+def test_kernel_marks_past_the_squares_cap(monkeypatch, cap, chunk):
+    # primes near 10**4 have (p-1)/2 past the cap: chunks inside the
+    # table, across its end and wholly past it square their own k
+    if chunk is not None:
+        monkeypatch.setattr(residue_scan, "_SQUARE_CHUNK", chunk)
+    _fresh_squares(monkeypatch, cap)
+    primes = [9973, 10007, 2003, 2053, 12289, 1009, 13]
+    for p in primes + primes[::-1]:
+        assert np.array_equal(_KERNEL.square_marks(p), _marks_want(p)), p
+        assert 0 < residue_scan._square_table.size <= cap
+    assert residue_scan._square_table.size == cap
+    assert np.array_equal(residue_scan._square_table, np.arange(1, cap + 1, dtype=np.uint64) ** 2)
+
+
+def test_squares_table_grows_never_shrinks_and_is_read_only(monkeypatch):
+    # p up and down: the table grows by doubling to cover (p-1)/2, is
+    # only sliced for smaller p, and stays within the cap
+    _fresh_squares(monkeypatch)
+    assert residue_scan._square_table.size == 0
+    sizes = []
+    for p in [101, 4099, 13, 20011, 1009, 65537, 3, 20011, 257]:
+        assert np.array_equal(_KERNEL.square_marks(p), _marks_want(p)), p
+        sizes.append(residue_scan._square_table.size)
+    assert sizes == [64, 4096, 4096, 16384, 16384, 32768, 32768, 32768, 32768]
+    table = residue_scan._square_table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+    assert residue_scan._SQUARES_CAP * table.itemsize == 8 << 20
+
+
 def test_gap_stats_never_aliases_the_kernel():
     gs = gap_stats(10007)
     n_seq, deltas = gs.n_seq.copy(), gs.deltas.copy()
@@ -354,6 +429,9 @@ def test_kernel_buffers_are_per_thread(monkeypatch):
 
     want = {p: values(p) for p in primes}
     wrong = []
+    # the threads race to grow one shared squares table from empty, and
+    # 20011 runs past a cap of 8192 entries
+    _fresh_squares(monkeypatch, 8192)
 
     def work(order):
         for _ in range(15):
@@ -373,6 +451,7 @@ def test_kernel_buffers_are_per_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+    assert residue_scan._square_table.size == 8192
 
 
 def test_crt_small_example():
