@@ -18,12 +18,11 @@ import numpy as np
 
 from .arith import is_perfect_square
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError, ResourceError
-from .residue_scan import _fixed_modulus
+from .residue_scan import _fixed_modulus, check_symbol_lanes
 from .rng import XorShift64Star
 from .sieve import RoughSet, check_rough, mertens_product, rough_set
 
 
-CHARSUM_LANE_BUDGET = 2**30
 # The benchmarks are floats: q, M and nu below this keep every power in them finite
 _FLOAT_BOUND = 2**1023
 
@@ -106,17 +105,12 @@ class CharSumReport:
     nu_beyond_classical: bool
 
 
-def _check_lanes(lanes: int) -> None:
-    if lanes > CHARSUM_LANE_BUDGET:
-        raise ResourceError(f"up to {lanes} symbol lanes exceed the budget of {CHARSUM_LANE_BUDGET}")
-
-
 def check_burgess(M: int | None, q: int | None, nu: int) -> None:
     """Preconditions of burgess_report: check_nonprincipal(q), M >= 1,
     nu >= 1, q, M and nu below 2**1023 so the benchmark is a finite
-    float, and at most CHARSUM_LANE_BUDGET symbol lanes, M mod q, since
-    full periods of a non-square q sum to 0.  None skips q or M, for a
-    sweep that draws its own moduli or uses the default length."""
+    float, and check_symbol_lanes on M mod q lanes, since full periods of
+    a non-square q sum to 0.  None skips q or M, for a sweep that draws
+    its own moduli or uses the default length."""
     if q is not None:
         _check_float("q", q)
         check_nonprincipal(q)
@@ -126,7 +120,7 @@ def check_burgess(M: int | None, q: int | None, nu: int) -> None:
         _check_float("M", M)
     _check_nu(nu)
     if q is not None and M is not None:
-        _check_lanes(M % q)
+        check_symbol_lanes(M % q)
 
 
 def burgess_report(M: int, q: int, nu: int = 2) -> CharSumReport:
@@ -154,8 +148,8 @@ def default_sweep_length(q: int) -> int:
 def check_sweep(count: int, q_lo: int, q_hi: int, nu: int = 2, M: int | None = None) -> None:
     """Preconditions of burgess_sweep: count >= 1, q_lo >= 3, q_hi >= q_lo + 3
     so the range holds an odd non-square, q_hi below 2**1023,
-    check_burgess on M and nu, and at most CHARSUM_LANE_BUDGET symbol
-    lanes, count times M or default_sweep_length(q_hi)."""
+    check_burgess on M and nu, and check_symbol_lanes on count times M
+    or default_sweep_length(q_hi) lanes."""
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
     if q_lo < 3:
@@ -164,7 +158,7 @@ def check_sweep(count: int, q_lo: int, q_hi: int, nu: int = 2, M: int | None = N
         raise ParameterError(f"range [{q_lo}, {q_hi}] too narrow to sample")
     _check_float("q_hi", q_hi)
     check_burgess(M, None, nu)
-    _check_lanes(count * (default_sweep_length(q_hi) if M is None else M))
+    check_symbol_lanes(count * (default_sweep_length(q_hi) if M is None else M))
 
 
 def burgess_sweep(

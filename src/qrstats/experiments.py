@@ -34,11 +34,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSetError, ParameterError, ResourceError
-from .residue_scan import _fixed_numerator, _gap_tail_of, first_nonresidues_after, least_nonresidues
+from .residue_scan import _check_p, _fixed_numerator, _gap_tail_of, check_symbol_lanes
+from .residue_scan import first_nonresidues_after, least_nonresidues
 from .sieve import (
-    MAX_ENDPOINT,
-    SPAN_BUDGET,
     ascending_primes,
+    check_range,
     check_rough,
     check_window,
     feller_tornier_A,
@@ -52,7 +52,6 @@ BLOCK_SPAN = 1 << 16
 RUN_SPAN = 1 << 20
 WITNESS_CAP = 1000
 ERDOS_X_BUDGET = 10**8
-TRACE_LANE_BUDGET = 2**30
 
 _PRIME_CHUNK = 64
 
@@ -226,14 +225,11 @@ class ExceptionalState(NamedTuple):
 
 
 def _check_q_range(Q: int) -> None:
-    """Q >= 10, and [Q, 2Q] within the sieve's span and endpoint budgets,
-    checked before its blocks are listed."""
+    """Q >= 10, and [Q, 2Q] within the sieve's endpoint, span and table
+    budgets (check_range), checked before its blocks are listed."""
     if Q < 10:
         raise ParameterError(f"need Q >= 10, got {Q}")
-    if Q > SPAN_BUDGET:
-        raise ResourceError(f"span Q = {Q} exceeds the budget of {SPAN_BUDGET}")
-    if 2 * Q > MAX_ENDPOINT:
-        raise ResourceError(f"endpoint 2Q = {2 * Q} exceeds {MAX_ENDPOINT}")
+    check_range(Q, 2 * Q)
 
 
 def check_exceptional(Q: int, u: int, h_list: Sequence[int]) -> None:
@@ -456,8 +452,7 @@ def gap_tail_scan(p_list: Sequence[int], h, workers: int = 1) -> GapTailSummary:
     if not ps:
         raise ParameterError("need at least one prime")
     for p in ps:
-        if p < 3 or p % 2 == 0:
-            raise ParameterError(f"need odd primes >= 3, got {p}")
+        _check_p(p)
     rows = tuple(_map_chunks(_scan_primes, ps, _PRIME_CHUNK, workers, _gap_tail_row, h))
     return GapTailSummary(rows, max(r.c1 for r in rows), max(r.c2 for r in rows))
 
@@ -554,18 +549,16 @@ def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, in
 
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
     """Preconditions of proof_trace: check_exceptional for the one h,
-    h < Q, at most TRACE_LANE_BUDGET symbol lanes, check_rough for the
-    rough mask over [1, 2Q] (0 < eta < 1 and 2Q within the sieve's
-    TABLE_BUDGET), and 2 <= (2Q)**eta < Q, read off rough_threshold.  The
-    lanes are |N| times the primes of [Q, 2Q] plus the rough members of
-    [1, 2Q], bounded by (h // 4 + 1) * 3Q, since N holds one residue
-    class mod 4 of the window."""
+    h < Q, check_symbol_lanes, check_rough for the rough mask over [1, 2Q]
+    (0 < eta < 1 and 2Q within the sieve's TABLE_BUDGET), and
+    2 <= (2Q)**eta < Q, read off rough_threshold.  The lanes are |N| times
+    the primes of [Q, 2Q] plus the rough members of [1, 2Q], bounded by
+    (h // 4 + 1) * 3Q, since N holds one residue class mod 4 of the
+    window."""
     check_exceptional(Q, u, [h])
     if h >= Q:
         raise ParameterError(f"need h < Q for the one-multiple-per-window bound, got h={h}, Q={Q}")
-    lanes = (h // 4 + 1) * 3 * Q
-    if lanes > TRACE_LANE_BUDGET:
-        raise ResourceError(f"up to {lanes} symbol lanes for h={h}, Q={Q} exceed the budget of {TRACE_LANE_BUDGET}")
+    check_symbol_lanes((h // 4 + 1) * 3 * Q, f" for h={h}, Q={Q}")
     check_rough(eta, 2 * Q)
     cutoff = rough_threshold(eta, 2 * Q)
     if cutoff >= Q:

@@ -13,9 +13,10 @@ classified and runs cannot wrap.
 Every per-prime residue table (residue_map, gap_stats, longest_qr_run
 and the gap-tail scan) comes from one squaring kernel.  It marks
 k*k mod p for 1 <= k <= (p-1)/2 in a bool buffer, so the unmarked
-classes of 1..p-1 are the non-residues.  Only gap_stats lists them;
-longest_qr_run finds its widest run as zero machine words of the marks,
-and the gap-tail scan reads its long gaps as long residue runs in the
+classes of 1..p-1 are the non-residues, at least (p-1)/2 of them for
+any odd p >= 3, prime or not.  Only gap_stats lists them, by one
+flatnonzero; longest_qr_run finds its widest run as zero words of
+the marks, and the gap-tail scan reads long gaps as residue runs in the
 marks.  Its buffers are kept per process (per thread, strictly) and
 grow to the next power of two, so a scan over ascending primes
 allocates nothing p-sized once warm.  The squares k*k do not depend on
@@ -69,6 +70,7 @@ from .errors import ParameterError, ResourceError, ScanError
 from .sieve import _base_primes, ascending_primes, check_window
 
 RESIDUE_TABLE_BUDGET = 2**30  # bytes
+SYMBOL_LANE_BUDGET = 2**30
 
 # Squares are reduced 2**15 at a time (256 KiB of uint64).  Interleaved
 # timings of 2**12 to 2**16 at p near 1.25*10**5 and 10**6 (2-vCPU Xeon,
@@ -76,7 +78,6 @@ RESIDUE_TABLE_BUDGET = 2**30  # bytes
 # few percent, and 2**12 up to 6% slower than squaring every k per prime.
 _SQUARE_CHUNK = 1 << 15
 _SQUARES_CAP = 1 << 20  # entries of _square_table, 8 MiB
-_POSITION_SLICE = 1 << 14
 
 _TABLE_COST = 32
 _TABLE_LIMIT = 1 << 20
@@ -94,6 +95,13 @@ def _check_p(p: int) -> None:
         raise ParameterError(f"need an odd p >= 3, got {p}")
 
 
+def check_symbol_lanes(lanes: int, what: str = "") -> None:
+    """At most SYMBOL_LANE_BUDGET symbol lanes for one character sum or
+    trace, checked before any sieve; what names the request."""
+    if lanes > SYMBOL_LANE_BUDGET:
+        raise ResourceError(f"up to {lanes} symbol lanes{what} exceed the budget of {SYMBOL_LANE_BUDGET}")
+
+
 def _capacity(n: int) -> int:
     """The least power of two >= n, so an ascending scan regrows a buffer
     only when p doubles."""
@@ -109,6 +117,14 @@ def check_table(p: int, buffers: int = 1) -> None:
         raise ResourceError(
             f"residue table for p up to {p} needs {size} bytes, past the budget of {RESIDUE_TABLE_BUDGET}"
         )
+
+
+def _remainder(x: np.ndarray, k, out: np.ndarray) -> np.ndarray:
+    """x mod k for x >= 0, into out, as x - (x // k) * k: a scalar
+    floor_divide is several times faster than %."""
+    np.floor_divide(x, k, out=out)
+    np.multiply(out, k, out=out)
+    return np.subtract(x, out, out=out)
 
 
 _square_table = np.empty(0, dtype=np.uint64)
@@ -181,11 +197,7 @@ class _SquareKernel(threading.local):
             else:  # past the table's cap: this chunk squares its own k
                 sq = np.arange(lo + 1, hi + 1, dtype=np.uint64)
                 np.multiply(sq, sq, out=sq)
-            # k*k - (k*k // p) * p: a scalar floor_divide is several times
-            # faster than %.
-            np.floor_divide(sq, P, out=r)
-            np.multiply(r, P, out=r)
-            np.subtract(sq, r, out=r)
+            _remainder(sq, P, r)
             # An int64 index scatters directly; a uint64 one is first
             # copied to intp.
             marks[r.view(np.int64)] = False
@@ -271,14 +283,6 @@ def _table_factors(fixed, lanes: np.ndarray) -> list[tuple[int, int]] | None:
             return None
         factors.append((fixed, 1))
     return factors
-
-
-def _remainder(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """x mod k for int64 x >= 0, into out, as x - (x // k) * k: a scalar
-    floor_divide is faster than %."""
-    np.floor_divide(x, k, out=out)
-    np.multiply(out, k, out=out)
-    return np.subtract(x, out, out=out)
 
 
 def _table_symbols(m: np.ndarray, factors: list[tuple[int, int]], signs: np.ndarray) -> np.ndarray:
@@ -451,15 +455,8 @@ class GapStats:
 def gap_stats(p: int) -> GapStats:
     """List the unmarked classes of 1..p-1 in the kernel's marks, the
     non-residues, into a fresh array and difference them."""
-    marks = _KERNEL.square_marks(p)
-    n_seq = np.empty(int(np.count_nonzero(marks[1:])), dtype=np.int64)
-    # Slices keep each flatnonzero temporary under malloc's 128 KB mmap
-    # threshold, so it is recycled from the heap, not mapped anew.
-    pos = 0
-    for start in range(1, p, _POSITION_SLICE):
-        idx = np.flatnonzero(marks[start : start + _POSITION_SLICE])
-        np.add(idx, start, out=n_seq[pos : pos + idx.size])
-        pos += idx.size
+    n_seq = np.flatnonzero(_KERNEL.square_marks(p)[1:])
+    n_seq += 1
     return GapStats(p, n_seq, np.diff(n_seq))
 
 
@@ -598,8 +595,6 @@ def longest_qr_run(p: int, zero_as_residue: bool = True) -> int:
     marks = _KERNEL.square_marks(p)
     nonres = marks[1:]
     first = int(np.argmax(nonres)) + 1
-    if not marks[first]:
-        raise ScanError(f"every class mod {p} marked residue; is p={p} prime?")
     last = _last_true(nonres) + 1
     # marks, not nonres, so that aligned words are aligned in memory
     for least in (15, 7, 3, 1):
@@ -623,8 +618,7 @@ def check_crt(pairs: Sequence[tuple[int, int]]) -> None:
         raise ParameterError(f"moduli must be pairwise distinct, got {moduli}")
     product = 1
     for l in moduli:
-        if l < 3 or l % 2 == 0:
-            raise ParameterError(f"modulus {l} is not an odd prime")
+        _check_p(l)
         product *= l
         if product >= 1 << 127:
             raise ResourceError("modulus product exceeds the 128-bit budget")

@@ -65,7 +65,10 @@ FLAG_BUDGET = 2**28  # bytes: the h + 1 flags of one square-free window
 
 _STRIDE_LIMIT = 1 << 12
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -100,10 +103,13 @@ def _base_primes(limit: int) -> np.ndarray:
     if limit > max(built, 1):
         grown = min(TABLE_BUDGET, max(limit, 2 * built))
         more = primes_in(max(built + 1, 2), grown)
+        # a recursive call or another thread may have grown the table
+        # meanwhile, even past grown; then it stays as it is
         built, table = _base_table
-        table = np.concatenate([table, more[more > built]])
-        table.flags.writeable = False
-        _base_table = (grown, table)
+        if built < grown:
+            table = np.concatenate([table, more[more > built]])
+            table.flags.writeable = False
+            _base_table = (grown, table)
     return table[: int(np.searchsorted(table, limit, side="right"))]
 
 
@@ -188,8 +194,12 @@ def primes_in(lo: int, hi: int) -> np.ndarray:
 
 
 def is_prime_u64(n: int) -> bool:
-    """Deterministic Miller-Rabin with the first twelve prime bases,
-    correct for all n < 3.3 * 10**24 and therefore for 64-bit inputs."""
+    """Deterministic Miller-Rabin with the thirteen prime bases 2 to 41,
+    correct for all n below _MR_LIMIT, about 3.3 * 10**24, and therefore
+    for 64-bit inputs.  An n at or past _MR_LIMIT, where these bases are
+    not known to decide primality, raises ResourceError."""
+    if n >= _MR_LIMIT:
+        raise ResourceError(f"primality of {n} is not decided by the Miller-Rabin bases up to 41")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrstats import charsums
+from qrstats import residue_scan
 from qrstats.arith import jacobi
 from qrstats.charsums import (
     burgess_exponent,
@@ -227,7 +227,7 @@ def test_lane_budget_counts_m_mod_q_and_sweep_lengths(monkeypatch):
     check_sweep(100, 10**4, 10**6)
     with pytest.raises(ResourceError):
         check_sweep(2, 3, 10**400)
-    monkeypatch.setattr(charsums, "CHARSUM_LANE_BUDGET", 999_999)
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 999_999)
     for call in (lambda: check_sweep(100, 10**4, 10**6), lambda: burgess_sweep(100, 10**4, 10**6),
                  lambda: check_sweep(3, 7, 100, M=333_334), lambda: burgess_report(10**6, 1_000_003)):
         with pytest.raises(ResourceError):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import qrstats
 
 import oracles
-from qrstats import charsums, cli, experiments, render, residue_scan, sieve
+from qrstats import cli, experiments, render, residue_scan, sieve
 from qrstats.cli import (
     CHECKPOINT_MAGIC,
     COMMANDS,
@@ -481,7 +481,7 @@ def test_file_errors_exit_2(tmp_path, capsys, extra):
 
 
 def test_budgets_exit_1_at_parse_time(monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "SPAN_BUDGET", 10**4)
+    monkeypatch.setattr(sieve, "SPAN_BUDGET", 10**4)
     monkeypatch.setattr(experiments, "ERDOS_X_BUDGET", 10**4)
     monkeypatch.setattr(sieve, "TABLE_BUDGET", 1000)
     monkeypatch.setattr(residue_scan, "RESIDUE_TABLE_BUDGET", 10**5)
@@ -530,10 +530,10 @@ def test_trace_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
     assert (code, out) == (1, "") and "symbol lanes" in err and "budget" in err
     # trace --q 1000 --h 12 bounds its lanes by 4 * 3000
     small = ["trace", "--q", "1000", "--u", "0", "--h", "12", "--eta", "0.15"]
-    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 11999)
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 11999)
     code, out, err = run_cli(capsys, *small)
     assert (code, out) == (1, "") and "budget" in err
-    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 12000)
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 12000)
     assert run_cli(capsys, *small)[0] == 0
 
 
@@ -587,10 +587,10 @@ def test_charsum_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):
     for lanes, small in ((982, ["charsum", "--q", "1009", "--M", "3000"]),
                          (150, ["charsum", "--sweep", "--count", "3", "--q-lo", "1000", "--q-hi", "2000", "--M", "50", "--seed", "1"]),
                          (477, ["charsum", "--sweep", "--count", "3", "--q-lo", "1000", "--q-hi", "2000", "--seed", "1"])):
-        monkeypatch.setattr(charsums, "CHARSUM_LANE_BUDGET", lanes - 1)
+        monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", lanes - 1)
         code, out, err = run_cli(capsys, *small)
         assert (code, out) == (1, "") and "budget" in err
-        monkeypatch.setattr(charsums, "CHARSUM_LANE_BUDGET", lanes)
+        monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", lanes)
         assert run_cli(capsys, *small)[0] == 0
 
 
@@ -610,6 +610,24 @@ def test_charsum_past_float_range_exits_1_at_parse_time(capsys):
     # just below the bound the benchmark stays finite
     code, out, _ = run_cli(capsys, "charsum", "--q", "7", "--M", str(2**1023 - 1))
     assert code == 0 and "inf" not in out
+
+
+def test_moduli_past_the_primality_bases_exit_1_at_parse_time(capsys):
+    # a strong pseudoprime to the twelve bases 2 to 37 is refused as
+    # composite; from the 13-base pseudoprime on, primality is undecided
+    psi12, psi13 = "318665857834031151167461", "3317044064679887385961981"
+    for argv, message in ((["nres", "--p", psi12], "must be an odd prime"),
+                          (["dup", "--p", psi12, "--u", "5"], "must be an odd prime"),
+                          (["crt", "--pairs", f"{psi12}:1"], "must be an odd prime"),
+                          (["nres", "--p", psi13], "Miller-Rabin"),
+                          (["crt", "--pairs", f"3:1,{psi13}:1"], "Miller-Rabin")):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and message in err
+    code, out, _ = run_cli(capsys, "nres", "--p", "18446744073709551557")
+    assert code == 0 and out.splitlines()[-1].startswith("18446744073709551557,")
 
 
 def test_gap_tail_budget_counts_the_spare_flags(monkeypatch, capsys):

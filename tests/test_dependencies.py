@@ -1,7 +1,9 @@
 """The package runs on the standard library and numpy alone."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,17 @@ def test_package_imports_only_stdlib_and_numpy():
     assert sources
     for path in sources:
         assert _imported_modules(path) <= ALLOWED, path.name
+
+
+def test_readme_constants_match_the_code():
+    # every `module.NAME` (value) in the README names a constant of that
+    # module with that value, a^b read as a power
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    mentions = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`\s*\((\d+)(?:\^(\d+))?\b", readme)
+    assert mentions
+    for module, name, base, exponent in mentions:
+        value = int(base) ** int(exponent or 1)
+        assert getattr(importlib.import_module(f"qrstats.{module}"), name, None) == value, f"{module}.{name}"
 
 
 def test_rough_set_and_proof_trace_leave_mpmath_unloaded():

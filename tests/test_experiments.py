@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qrstats import experiments
+from qrstats import experiments, residue_scan, sieve
 from qrstats.arith import jacobi
-from qrstats.errors import DegenerateSetError, ParameterError, ResourceError
+from qrstats.errors import DegenerateSetError, ParameterError, RangeError, ResourceError
 from qrstats.experiments import (
     ERDOS_X_BUDGET,
     WITNESS_CAP,
@@ -538,14 +538,14 @@ def test_check_exceptional_raises_like_exceptional_density_sweep():
 
 
 def test_q_range_budget_before_blocks(monkeypatch):
-    monkeypatch.setattr(experiments, "SPAN_BUDGET", 10**4)
+    monkeypatch.setattr(sieve, "SPAN_BUDGET", 10**4)
     for call in (lambda: exceptional_blocks(10**4 + 1), lambda: h_multiples(10**4 + 1, 1),
                  lambda: check_exceptional(10**4 + 1, 0, [5]), lambda: exceptional_density_sweep(10**4 + 1, 0, [5])):
         with pytest.raises(ResourceError):
             call()
     assert exceptional_blocks(10**4)[0][0] == 10**4
-    monkeypatch.setattr(experiments, "MAX_ENDPOINT", 2 * 10**4 - 1)
-    with pytest.raises(ResourceError):
+    monkeypatch.setattr(sieve, "MAX_ENDPOINT", 2 * 10**4 - 1)
+    with pytest.raises(RangeError):
         exceptional_blocks(10**4)
 
 
@@ -568,15 +568,15 @@ def test_trace_lane_budget(monkeypatch):
 
     for name in ("primes_in", "rough_set", "squarefree_in_interval"):
         monkeypatch.setattr(experiments, name, no_sieve)
-    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 11999)
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 11999)
     for call in (check_trace, proof_trace):
         with pytest.raises(ResourceError, match="symbol lanes"):
             call(1000, 0, 12, 0.15)
-    monkeypatch.setattr(experiments, "TRACE_LANE_BUDGET", 12000)
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 12000)
     check_trace(1000, 0, 12, 0.15)
     monkeypatch.undo()
     # Q = 10**5, h = 3200 bounds its lanes by 801 * 3 * 10**5, inside 2**30
-    assert experiments.TRACE_LANE_BUDGET == 2**30
+    assert residue_scan.SYMBOL_LANE_BUDGET == 2**30
     check_trace(10**5, 0, 3200, 0.1)
     with pytest.raises(ResourceError):
         check_trace(10**6, 0, 200000, 0.1)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -161,6 +162,21 @@ def test_is_prime_u64_known_hard_cases():
     assert is_prime_u64(2**61 - 1)
     assert not is_prime_u64(2**61 + 1)
     assert is_prime_u64(18446744073709551557)  # largest prime below 2**64
+
+
+def test_is_prime_u64_past_twelve_bases():
+    # the least strong pseudoprimes to the first twelve and thirteen prime
+    # bases (Sorenson and Webster, Math. Comp. 86, 2017)
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert psi13 == 1287836182261 * 2575672364521
+    assert not is_prime_u64(psi12)
+    for n in (psi13, psi13 + 2, 10**30):
+        with pytest.raises(ResourceError, match="Miller-Rabin"):
+            is_prime_u64(n)
+    assert is_prime_u64(2**64 - 59)  # the largest prime below 2**64
+    assert is_prime_u64(psi13 - 168)  # the largest prime below psi13
+    assert not is_prime_u64(psi13 - 170)
 
 
 def test_rough_threshold_exact_dyadic_cases():
@@ -539,6 +555,40 @@ def test_base_table_extended_equals_primes_upto(monkeypatch):
     assert sieve._base_table[0] == 10**6 and not table.flags.writeable
     assert np.array_equal(table, eratosthenes(10**6))
     assert np.array_equal(sieve._base_primes(2 * 10**6 + 1), eratosthenes(2 * 10**6 + 1))
+
+
+def test_base_table_keeps_its_limit_under_threads(monkeypatch):
+    # a growth to 3000 is held inside its sieve until a growth to 5000,
+    # started after it, has published; the late one must not publish
+    # 3000 with the longer table, or the next growth appends duplicates
+    inside, done = threading.Event(), threading.Event()
+    real_primes_in = sieve.primes_in
+
+    def held_primes_in(lo, hi):
+        more = real_primes_in(lo, hi)
+        if hi == 3000:
+            inside.set()
+            assert done.wait(timeout=60)
+        return more
+
+    def grow(limit):
+        sieve._base_primes(limit)
+        if limit == 5000:
+            done.set()
+
+    monkeypatch.setattr(sieve, "_base_table", (1000, eratosthenes(1000)))
+    monkeypatch.setattr(sieve, "primes_in", held_primes_in)
+    small = threading.Thread(target=grow, args=(3000,))
+    small.start()
+    assert inside.wait(timeout=60)
+    large = threading.Thread(target=grow, args=(5000,))
+    large.start()
+    for thread in (large, small):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    built, table = sieve._base_table
+    assert built == 5000 and np.array_equal(table, eratosthenes(5000))
+    assert np.array_equal(sieve._base_primes(12000), eratosthenes(12000))
 
 
 def test_base_table_is_read_only():
