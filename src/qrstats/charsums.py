@@ -20,7 +20,7 @@ from .arith import is_perfect_square
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError, ResourceError
 from .residue_scan import _fixed_modulus, check_symbol_lanes
 from .rng import XorShift64Star
-from .sieve import RoughSet, check_rough, mertens_product, rough_set
+from .sieve import check_rough, mertens_product, rough_set
 
 
 # The benchmarks are floats: q, M and nu below this keep every power in them finite
@@ -228,16 +228,11 @@ def rough_error_scale(eta: float, M: int) -> float:
     return eta ** (eta**-0.5 / 4.0 - 1.0) * M / math.log(M)
 
 
-def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None) -> RoughPartition:
-    """Classify every member of the rough set by its symbol mod q.
-
-    Pass a precomputed rough_set(eta, M) to share the sieve across many
-    moduli; it must match eta and M exactly.
-    """
+def rough_partition(eta: float, M: int, q: int) -> RoughPartition:
+    """Classify every member of rough_set(eta, M), sieved afresh on each
+    call, by its symbol mod q."""
     check_modulus(q)
-    rs = rough if rough is not None else rough_set(eta, M)
-    if rs.eta != eta or rs.M != M:
-        raise ParameterError("precomputed rough set does not match eta and M")
+    rs = rough_set(eta, M)
     symbols = _fixed_modulus(rs.members, q)
     plus = int(np.count_nonzero(symbols == 1))
     minus = int(np.count_nonzero(symbols == -1))
@@ -258,9 +253,9 @@ def rough_partition(eta: float, M: int, q: int, *, rough: RoughSet | None = None
     )
 
 
-def rough_char_sum(eta: float, M: int, q: int, *, rough: RoughSet | None = None) -> int:
+def rough_char_sum(eta: float, M: int, q: int) -> int:
     """Sum of (m|q) over the rough set, via the partition identity
     plus_count - minus_count."""
     check_nonprincipal(q)
-    part = rough_partition(eta, M, q, rough=rough)
+    part = rough_partition(eta, M, q)
     return part.count_plus - part.count_minus

@@ -11,8 +11,9 @@ output for the same reason.
 Every subcommand is one entry of COMMANDS: its arguments, a params
 builder and a runner.  The builders check preconditions at parse time
 through the library's own check_* helpers, so each rule is written once;
-only flag combinations, the required --seed, the primality of --p and
-crt moduli and the output row budget are checked here alone.
+only flag combinations, --seed (a parameter of the sampling runs alone),
+the primality of --p and crt moduli and the output row budget are checked
+here alone.
 
 A runner returns its body as columns (render.table), one per header
 name: a numpy array, or a short list for a one-row body.  run renders
@@ -24,7 +25,8 @@ them), found at parse time before anything is computed; 2 resource
 budget, computation, file or memory error, or any other failure while
 running (message on standard error, nothing on standard output); 141
 (128 + SIGPIPE) when the reader of standard output closed it early, with
-nothing on standard error.
+nothing on standard error; 130 (128 + SIGINT) and 143 (128 + SIGTERM)
+when interrupted, with one line on standard error and no partial file.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, NamedTuple
@@ -48,7 +51,6 @@ from .charsums import (
     rough_partition,
 )
 from .errors import QRStatsError, ResourceError
-from .experiments import _PRIME_CHUNK, _map_chunks, _scan_primes
 from .experiments import (
     ExceptionalState,
     check_erdos,
@@ -61,6 +63,7 @@ from .experiments import (
     h_multiples,
     h_quarter_power,
     proof_trace,
+    scan_primes,
     squarefree_pair_density,
 )
 from .residue_scan import (
@@ -96,7 +99,6 @@ class RunConfig:
     workers: int = 1
     zero_as_residue: bool = True
     output_path: str | None = None
-    seed: int | None = None
     checkpoint_path: str | None = None
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
 
@@ -206,6 +208,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     try:
         workers = _resolve_workers(ns)
         params = COMMANDS[ns.subcommand].params(ns)
+        if getattr(ns, "seed", None) is not None and "seed" not in params:
+            raise _UsageError("--seed applies only to sampling runs")
     except (_UsageError, QRStatsError) as exc:
         parser.error(f"{ns.subcommand}: {exc}")
     return RunConfig(
@@ -215,7 +219,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         workers=workers,
         zero_as_residue=ns.zero_as_residue,
         output_path=ns.out,
-        seed=getattr(ns, "seed", None),
         checkpoint_path=getattr(ns, "checkpoint", None),
         checkpoint_every=getattr(ns, "checkpoint_every", None) or DEFAULT_CHECKPOINT_EVERY,
     )
@@ -237,8 +240,6 @@ def _meta_params(config: RunConfig) -> dict[str, Any]:
             )
         else:
             out[key] = value
-    if config.seed is not None:
-        out["seed"] = config.seed
     return out
 
 
@@ -332,9 +333,10 @@ def _odd_prime(p: int, what: str = "--p") -> None:
         raise _UsageError(f"{what} must be an odd prime, got {p}")
 
 
-def _need_seed(ns) -> None:
+def _seed(ns) -> int:
     if ns.seed is None:
         raise _UsageError("sampling runs require an explicit --seed")
+    return ns.seed
 
 
 _RANGE_ARGS = (_arg("--p", type=int), _arg("--lo", type=int), _arg("--hi", type=int))
@@ -390,8 +392,7 @@ def _run_nres(config: RunConfig):
 def _run_dp(config: RunConfig):
     convention = "zero_as_residue" if config.zero_as_residue else "zero_excluded"
     primes = _primes(config.params)
-    args = (primes.tolist(), _PRIME_CHUNK, config.workers, longest_qr_run, config.zero_as_residue)
-    runs = list(_map_chunks(_scan_primes, *args))
+    runs = list(scan_primes(longest_qr_run, primes.tolist(), config.workers, config.zero_as_residue))
     return table(["p", "d_p", "convention"], primes, runs, [convention] * len(runs)), {}
 
 
@@ -446,8 +447,8 @@ def _charsum_params(ns) -> dict[str, Any]:
         if ns.count is None or ns.q_lo is None or ns.q_hi is None:
             raise _UsageError("--sweep needs --count, --q-lo, and --q-hi")
         check_sweep(ns.count, ns.q_lo, ns.q_hi, ns.nu, ns.M)
-        _need_seed(ns)
-        return {"sweep": True, "count": ns.count, "q_lo": ns.q_lo, "q_hi": ns.q_hi, "nu": ns.nu, "M": ns.M}
+        return {"sweep": True, "count": ns.count, "q_lo": ns.q_lo, "q_hi": ns.q_hi, "nu": ns.nu, "M": ns.M,
+                "seed": _seed(ns)}
     if ns.q is None or ns.M is None:
         raise _UsageError("need --q and --M (or --sweep)")
     check_burgess(ns.M, ns.q, ns.nu)
@@ -456,17 +457,15 @@ def _charsum_params(ns) -> dict[str, Any]:
 
 def _run_charsum(config: RunConfig):
     p = config.params
-    header = ["q", "M", "nu", "sum", "bound", "ratio"]
-    if not p["sweep"]:
-        rep = burgess_report(p["M"], p["q"], p["nu"])
-        extra = {"nu_beyond_classical": True} if rep.nu_beyond_classical else {}
-        return table(header, *zip((rep.q, rep.M, rep.nu, rep.sum, rep.benchmark, rep.ratio))), extra
-    summary = burgess_sweep(p["count"], p["q_lo"], p["q_hi"], p["nu"], config.seed, p["M"])
-    rows = [(r.q, r.M, r.nu, r.sum, r.benchmark, r.ratio) for r in summary.reports]
-    extra = {"max_ratio": summary.max_ratio, "median_ratio": summary.median_ratio}
-    if p["nu"] > 3:
+    if p["sweep"]:
+        summary = burgess_sweep(p["count"], p["q_lo"], p["q_hi"], p["nu"], p["seed"], p["M"])
+        reports, extra = summary.reports, {"max_ratio": summary.max_ratio, "median_ratio": summary.median_ratio}
+    else:
+        reports, extra = [burgess_report(p["M"], p["q"], p["nu"])], {}
+    if any(r.nu_beyond_classical for r in reports):
         extra["nu_beyond_classical"] = True
-    return table(header, *zip(*rows)), extra
+    rows = [(r.q, r.M, r.nu, r.sum, r.benchmark, r.ratio) for r in reports]
+    return table(["q", "M", "nu", "sum", "bound", "ratio"], *zip(*rows)), extra
 
 
 def _rough_params(ns) -> dict[str, Any]:
@@ -478,11 +477,11 @@ def _rough_params(ns) -> dict[str, Any]:
 
 def _run_rough(config: RunConfig):
     p = config.params
-    rs = rough_set(p["eta"], p["M"])
     if p["q"] is None:
+        rs = rough_set(p["eta"], p["M"])
         row = (p["eta"], p["M"], rs.count, rs.ratio_c0)
         return table(["eta", "M", "count", "ratio_c0"], *zip(row)), {}
-    part = rough_partition(p["eta"], p["M"], p["q"], rough=rs)
+    part = rough_partition(p["eta"], p["M"], p["q"])
     row = (p["eta"], p["M"], p["q"], part.count_plus, part.count_minus, part.count_zero, part.main_term)
     return table(["eta", "M", "q", "plus", "minus", "zero", "main_term"], *zip(row)), {}
 
@@ -530,8 +529,7 @@ def _exceptional_params(ns) -> dict[str, Any]:
     else:
         if ns.u_samples < 1:
             raise _UsageError(f"--u-samples must be >= 1, got {ns.u_samples}")
-        _need_seed(ns)
-        u_params = {"u_samples": ns.u_samples}
+        u_params = {"u_samples": ns.u_samples, "seed": _seed(ns)}
     if ns.checkpoint is not None and ns.u is None:
         raise _UsageError("--checkpoint supports single --u runs only")
     if ns.checkpoint_every is not None:
@@ -548,7 +546,7 @@ def _run_exceptional(config: RunConfig):
     if "u" in p:
         u_values = [p["u"]]
     else:
-        rng = XorShift64Star(config.seed)
+        rng = XorShift64Star(p["seed"])
         u_values = [rng.draw_in(0, 2 * Q) for _ in range(p["u_samples"])]
     resume = block_done = None
     if config.checkpoint_path is not None:
@@ -686,6 +684,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except KeyboardInterrupt as exc:  # SIGINT, or SIGTERM through main_entry's handler
+        signum = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        print(f"qrstats: interrupted by {signum.name}", file=sys.stderr)
+        return 128 + signum
     except (QRStatsError, OSError, MemoryError) as exc:
         message = str(exc) or type(exc).__name__
     except Exception as exc:  # a fault of this program: still exit 2, not a traceback
@@ -694,7 +696,12 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main_entry() -> None:
+    signal.signal(signal.SIGTERM, _interrupt)
     sys.exit(main())
 
 

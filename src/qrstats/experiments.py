@@ -15,7 +15,7 @@ and the unit of merging and of checkpoints: a chunk is a run of at most
 2**20 integers, sieved once and scanned in one kernel pass, whose result
 is split back into per-block partials; an exceptional scan over several
 u scans every u on the primes of each run.  Per-prime table scans (gap
-tails, and the cli's longest runs) chunk primes through _scan_primes.
+tails, and the cli's longest runs) chunk primes through scan_primes.
 Output is therefore bit-identical for one worker and for fifty: merges
 are plain integer sums and witness lists concatenate in block order.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import signal
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -52,6 +53,7 @@ BLOCK_SPAN = 1 << 16
 RUN_SPAN = 1 << 20
 WITNESS_CAP = 1000
 ERDOS_X_BUDGET = 10**8
+ERDOS_TAIL_BOUND = 1e-12
 
 _PRIME_CHUNK = 64
 
@@ -68,6 +70,12 @@ def _blocks(lo: int, hi: int, edges: Sequence[int] = ()) -> list[tuple[int, int]
             out.append((start, end))
             start = end + 1
     return out
+
+
+def _quiet_worker() -> None:
+    """Pool initializer: ignore a terminal's SIGINT, die on the pool's SIGTERM."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _map_chunks(fn, items: Sequence, cap: int, workers: int, *extra) -> Iterator:
@@ -87,7 +95,7 @@ def _map_chunks(fn, items: Sequence, cap: int, workers: int, *extra) -> Iterator
     argss = [(items[i : i + size], *extra) for i in range(0, len(items), size)]
     if workers > 1 and len(argss) > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(argss))) as pool:
+        with ctx.Pool(processes=min(workers, len(argss)), initializer=_quiet_worker) as pool:
             for results in pool.imap(fn, argss):
                 yield from results
     else:
@@ -96,10 +104,15 @@ def _map_chunks(fn, items: Sequence, cap: int, workers: int, *extra) -> Iterator
 
 
 def _scan_primes(args: tuple) -> list:
-    """fn(p, *extra) for each prime p of a chunk: the per-prime task of
-    _map_chunks, with chunks of at most _PRIME_CHUNK primes."""
+    """fn(p, *extra) for each prime p of a chunk."""
     chunk, fn, *extra = args
     return [fn(p, *extra) for p in chunk]
+
+
+def scan_primes(fn, primes: Sequence[int], workers: int, *extra) -> Iterator:
+    """Yield fn(p, *extra) for each of the primes, in order, through
+    _map_chunks in chunks of at most _PRIME_CHUNK; fn must pickle."""
+    return _map_chunks(_scan_primes, primes, _PRIME_CHUNK, workers, fn, *extra)
 
 
 def _block_ends(values: np.ndarray, run: list[tuple[int, int]]) -> np.ndarray:
@@ -118,19 +131,17 @@ class ErdosMean:
     constant_partial: float
 
 
-def erdos_constant(tail_bound: float = 1e-12) -> float:
+def erdos_constant() -> float:
     """Sum of p_k / 2**k over the primes in order, truncated at the first
-    k with p_k / 2**(k-1) < tail_bound.
+    k with p_k / 2**(k-1) < ERDOS_TAIL_BOUND.
 
     Terms decay geometrically (p_k grows polynomially against the 2**k),
-    so the stated stopping rule leaves a tail comparable to tail_bound.
+    so the stated stopping rule leaves a tail comparable to the bound.
     """
-    if tail_bound <= 0.0:
-        raise ParameterError(f"need tail_bound > 0, got {tail_bound}")
     total = 0.0
     for k, p in enumerate(ascending_primes(), start=1):
         total += p / 2.0**k
-        if p / 2.0 ** (k - 1) < tail_bound:
+        if p / 2.0 ** (k - 1) < ERDOS_TAIL_BOUND:
             return total
 
 
@@ -212,7 +223,7 @@ class ExceptionalState(NamedTuple):
 
     total counts the primes seen so far.  counts[i] is the number of them
     with d > h_i for the i-th h of the sorted grid, and witnesses[i] the
-    first min(counts[i], witness_cap) of those primes, ascending, where d
+    first min(counts[i], WITNESS_CAP) of those primes, ascending, where d
     is first_nonresidue_after.  Counts fall as h grows, so only a prefix
     of the grid has a count; the h past it have none.  A resume state may
     give any int array-likes.
@@ -281,15 +292,15 @@ def _tally(p: np.ndarray, d: np.ndarray, hs: list[int], room: np.ndarray) -> _Ta
 def _scan_exceptional_block(args) -> list[tuple[int, list[_Tally]]]:
     """(prime count, [tally per u]) for each block of a run.  Within the
     run, a block's witness room is what the blocks before it left of
-    witness_cap."""
-    run, us, hs, witness_cap = args
+    WITNESS_CAP."""
+    run, us, hs = args
     primes = primes_in(run[0][0], run[-1][1])
     ends = _block_ends(primes, run).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     per_u = []
     for u in us:
         d = first_nonresidues_after(primes, u, hs[-1])
-        room = np.full(len(hs), witness_cap)
+        room = np.full(len(hs), WITNESS_CAP)
         tallies = []
         for lo, hi in spans:
             tally = _tally(primes[lo:hi], d[lo:hi], hs, room)
@@ -301,12 +312,11 @@ def _scan_exceptional_block(args) -> list[tuple[int, list[_Tally]]]:
 
 
 class _Totals:
-    """Per-h exceptional counts of one u and the first witness_cap
+    """Per-h exceptional counts of one u and the first WITNESS_CAP
     witnesses of each h, merged from tallies in block order, starting
     from the counts and witness lists of a resume state."""
 
-    def __init__(self, hs: list[int], witness_cap: int, counts=(), witnesses=()) -> None:
-        self.cap = witness_cap
+    def __init__(self, hs: list[int], counts=(), witnesses=()) -> None:
         self.counts = np.zeros(len(hs), dtype=np.int64)
         self.counts[: len(counts)] = counts
         self.witnesses = [list(found) for found in witnesses] + [[] for _ in hs[len(witnesses) :]]
@@ -314,7 +324,7 @@ class _Totals:
     def add(self, tally: _Tally) -> None:
         self.counts += tally.counts
         for i, found in tally.witnesses.items():
-            self.witnesses[i].extend(found[: self.cap - len(self.witnesses[i])])
+            self.witnesses[i].extend(found[: WITNESS_CAP - len(self.witnesses[i])])
 
     def state(self, next_block: int, total: int) -> ExceptionalState:
         n = int(np.count_nonzero(self.counts))
@@ -324,12 +334,12 @@ class _Totals:
 
 
 def _check_resume(
-    state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int], witness_cap: int
+    state: ExceptionalState, blocks: list[tuple[int, int]], hs: list[int]
 ) -> tuple[np.ndarray, list[list[int]]]:
     """A resume state must be one the scan could have reached: int64
     values; positive, falling counts, at most one per h; a total from
     counts[0] (1 once a block is merged) to the integers merged; and for
-    each count its min(count, witness_cap) witnesses, strictly ascending
+    each count its min(count, WITNESS_CAP) witnesses, strictly ascending
     inside the merged blocks.  Returns the counts and witness lists."""
     if not 0 <= state.next_block <= len(blocks):
         raise ParameterError(f"resume block {state.next_block} outside 0..{len(blocks)}")
@@ -349,8 +359,8 @@ def _check_resume(
     low = max(int(counts[0]) if counts.size else 0, min(state.next_block, 1))
     if not low <= state.total <= top - first + 1:
         raise ParameterError(f"resume total {state.total} is outside [{low}, {top - first + 1}]")
-    if [found.size for found in groups] != np.minimum(counts, witness_cap).tolist():
-        raise ParameterError(f"resume needs min(count, {witness_cap}) witnesses for each count")
+    if [found.size for found in groups] != np.minimum(counts, WITNESS_CAP).tolist():
+        raise ParameterError(f"resume needs min(count, {WITNESS_CAP}) witnesses for each count")
     for found in groups:
         if np.any(found[1:] <= found[:-1]) or (found.size and not first <= found[0] <= found[-1] <= top):
             raise ParameterError(f"resume witnesses are not strictly ascending inside [{first}, {top}]")
@@ -363,7 +373,6 @@ def exceptional_density_sweep(
     h_list: Sequence[int],
     workers: int = 1,
     *,
-    witness_cap: int = WITNESS_CAP,
     resume: ExceptionalState | None = None,
     block_done: Callable[[ExceptionalState], None] | None = None,
 ) -> list[ExceptionalDensity]:
@@ -374,7 +383,7 @@ def exceptional_density_sweep(
     given, duplicates included.  Each block is sieved once for all u, and
     d = first_nonresidue_after(p, u) is evaluated once per prime and u,
     capped just past max(h_list); each requested h counts the primes with
-    d > h.  The merge keeps per-h counts and the first witness_cap
+    d > h.  The merge keeps per-h counts and the first WITNESS_CAP
     witnesses, block by block, not the hits themselves.  resume and
     block_done expose the block progress of a single-u scan so a caller
     can persist and restart long runs: both speak ExceptionalState, the
@@ -390,11 +399,10 @@ def exceptional_density_sweep(
     hs = sorted({int(h) for h in h_list})
     blocks = exceptional_blocks(Q)
     state = resume if resume is not None else ExceptionalState(0, 0, (), ())
-    resumed = _check_resume(state, blocks, hs, witness_cap)
+    resumed = _check_resume(state, blocks, hs)
     total, done = state.total, state.next_block
-    totals = [_Totals(hs, witness_cap, *resumed)] + [_Totals(hs, witness_cap) for _ in us[1:]]
-    args = (tuple(us), hs, witness_cap)
-    partials = _map_chunks(_scan_exceptional_block, blocks[done:], RUN_SPAN // BLOCK_SPAN, workers, *args)
+    totals = [_Totals(hs, *resumed)] + [_Totals(hs) for _ in us[1:]]
+    partials = _map_chunks(_scan_exceptional_block, blocks[done:], RUN_SPAN // BLOCK_SPAN, workers, tuple(us), hs)
     for block_total, tallies in partials:
         total += block_total
         for merged, tally in zip(totals, tallies):
@@ -453,7 +461,7 @@ def gap_tail_scan(p_list: Sequence[int], h, workers: int = 1) -> GapTailSummary:
         raise ParameterError("need at least one prime")
     for p in ps:
         _check_p(p)
-    rows = tuple(_map_chunks(_scan_primes, ps, _PRIME_CHUNK, workers, _gap_tail_row, h))
+    rows = tuple(scan_primes(_gap_tail_row, ps, workers, h))
     return GapTailSummary(rows, max(r.c1 for r in rows), max(r.c2 for r in rows))
 
 

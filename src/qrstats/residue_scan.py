@@ -210,36 +210,24 @@ class _SquareKernel(threading.local):
             self.spare = np.empty(_capacity(p), dtype=bool)
         return self.spare[:p]
 
-    def cached(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The table stored under key, or build() kept for next time.
-
-        The tables kept hold at most _TABLE_CACHE_BUDGET bytes in all: the
-        least recently used go first, and a table larger than the budget
-        is returned without being kept.
-        """
-        table = self.tables.pop(key, None)
+    def legendre(self, l: int) -> np.ndarray:
+        """(r|l) for 0 <= r < l as int8, for an odd prime l: 0 at r = 0,
+        then +1 at the squares and -1 elsewhere.  The tables kept, by l,
+        hold at most _TABLE_CACHE_BUDGET bytes, least recently used out
+        first; a table past the budget is returned and not kept."""
+        table = self.tables.pop(l, None)
         if table is None:
-            table = build()
+            table = self.square_marks(l).view(np.int8) * np.int8(-2)
+            table += 1
+            table[0] = 0
         else:
             self.table_bytes -= table.nbytes
         if table.nbytes <= _TABLE_CACHE_BUDGET:
             while self.table_bytes + table.nbytes > _TABLE_CACHE_BUDGET:
                 self.table_bytes -= self.tables.pop(next(iter(self.tables))).nbytes
-            self.tables[key] = table
+            self.tables[l] = table
             self.table_bytes += table.nbytes
         return table
-
-    def legendre(self, l: int) -> np.ndarray:
-        """(r|l) for 0 <= r < l as int8, for an odd prime l: 0 at r = 0,
-        then +1 at the squares and -1 elsewhere."""
-
-        def build() -> np.ndarray:
-            table = self.square_marks(l).view(np.int8) * np.int8(-2)
-            table += 1
-            table[0] = 0
-            return table
-
-        return self.cached(("legendre", l), build)
 
 
 _KERNEL = _SquareKernel()

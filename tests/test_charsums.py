@@ -138,14 +138,6 @@ def test_rough_partition_example():
     assert part.ratio_plus == pytest.approx(part.deviation_plus / part.error_scale)
 
 
-def test_rough_partition_precomputed_must_match():
-    rs = rough_set(0.5, 30)
-    same = rough_partition(0.5, 30, 7, rough=rs)
-    assert same.count_plus == 4
-    with pytest.raises(ParameterError):
-        rough_partition(0.5, 40, 7, rough=rs)
-
-
 def test_rough_char_sum_example():
     assert rough_char_sum(0.5, 30, 7) == 1
 
@@ -158,9 +150,9 @@ def test_rough_char_sum_example():
 )
 def test_rough_partition_identity(eta, M, q):
     rs = rough_set(eta, M)
-    part = rough_partition(eta, M, q, rough=rs)
+    part = rough_partition(eta, M, q)
     assert part.total == rs.count
-    assert part.count_plus - part.count_minus == rough_char_sum(eta, M, q, rough=rs)
+    assert part.count_plus - part.count_minus == rough_char_sum(eta, M, q)
 
 
 @settings(deadline=None)
@@ -171,7 +163,7 @@ def test_rough_partition_identity(eta, M, q):
 )
 def test_rough_char_sum_matches_direct_sum(eta, M, q):
     rs = rough_set(eta, M)
-    assert rough_char_sum(eta, M, q, rough=rs) == sum(jacobi(m % q, q) for m in rs.members.tolist())
+    assert rough_char_sum(eta, M, q) == sum(jacobi(m % q, q) for m in rs.members.tolist())
 
 
 def test_rough_char_sum_rejects_square_modulus():

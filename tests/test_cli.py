@@ -5,10 +5,12 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -51,7 +53,7 @@ def test_parse_exceptional_example():
     assert cfg.output_format == "csv"
     assert cfg.workers == 1
     assert cfg.zero_as_residue is True
-    assert cfg.seed is None
+    assert "seed" not in cfg.params
 
 
 def test_parse_dup_example():
@@ -366,6 +368,17 @@ def test_exceptional_seeded_u_draws(capsys):
     assert "# params: Q=1000 h_list=1 seed=5 u_samples=3" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv", [
+    ["charsum", "--q", "7", "--M", "5", "--seed", "3"],
+    ["exceptional", "--q", "10", "--u", "5", "--h", "2", "--seed", "9"],
+])
+def test_unused_seed_exits_1(capsys, argv):
+    # nothing is sampled, so a seed would only add a parameter to the
+    # bytes of the same computation
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "--seed applies only to sampling runs" in err
+
+
 # --- JSON output ---------------------------------------------------------
 
 def test_json_round_trip(capsys):
@@ -572,6 +585,70 @@ def test_broken_pipe_exits_141_quietly():
         proc.kill()
         proc.stderr.close()
     assert (code, err) == (141, b"")
+
+
+@pytest.mark.parametrize("interrupt, code", [(KeyboardInterrupt(), 130), (KeyboardInterrupt(signal.SIGTERM), 143)])
+def test_interrupt_exits_with_its_signal_code(monkeypatch, capsys, interrupt, code):
+    def run(config):
+        raise interrupt
+
+    handler = signal.getsignal(signal.SIGTERM)
+    monkeypatch.setattr(cli, "run", run)
+    name = "SIGINT" if code == 130 else "SIGTERM"
+    assert run_cli(capsys, "nres", "--p", "7") == (code, "", f"qrstats: interrupted by {name}\n")
+    # main_entry installs the SIGTERM handler, main leaves the caller's
+    assert signal.getsignal(signal.SIGTERM) is handler
+
+
+_SLOW_EXCEPTIONAL = ["exceptional", "--q", "40000000", "--u", "1000000000123", "--h-list", "5,10,20"]
+
+
+def _start_qrstats(*argv, **popen) -> subprocess.Popen:
+    """The console entry in a subprocess.  A shell without job control
+    starts background jobs with SIGINT ignored, and Python then keeps it
+    ignored; the handler is restored, as a terminal session has it."""
+    src = os.path.dirname(os.path.dirname(qrstats.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import signal; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from qrstats.cli import main_entry; main_entry()")
+    return subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, **popen)
+
+
+@functools.lru_cache(maxsize=None)
+def _uninterrupted_exceptional() -> bytes:
+    out, err = _start_qrstats(*_SLOW_EXCEPTIONAL, "--workers", "2").communicate(timeout=120)
+    assert err == b""
+    return out
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_signal_exits_quietly_and_the_checkpoint_resumes(tmp_path, sig, workers):
+    # SIGINT goes to the process group, as a terminal sends it, and SIGTERM
+    # to the parent alone, as kill sends it, once the first checkpoint is
+    # written and the scan still runs.  communicate returns only when every
+    # writer of stderr has exited, workers included.
+    out, ckpt = tmp_path / "out.csv", tmp_path / "run.ckpt"
+    argv = [*_SLOW_EXCEPTIONAL, "--out", str(out), "--checkpoint", str(ckpt), "--checkpoint-every", "1"]
+    proc = _start_qrstats(*argv, "--workers", str(workers), start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not ckpt.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert ckpt.exists() and proc.poll() is None, "no checkpoint seen while the run was scanning"
+        (os.killpg if sig == signal.SIGINT else os.kill)(proc.pid, sig)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, stdout) == (128 + sig, b"")
+    assert stderr == f"qrstats: interrupted by {sig.name}\n".encode()
+    assert [p.name for p in tmp_path.iterdir()] == [ckpt.name]
+    resumed = _start_qrstats(*argv, "--workers", "2")
+    assert resumed.communicate(timeout=120) == (b"", b"") and resumed.returncode == 0
+    assert out.read_bytes() == _uninterrupted_exceptional()
 
 
 def test_charsum_lane_budget_exits_1_at_parse_time(monkeypatch, capsys):

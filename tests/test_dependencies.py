@@ -30,6 +30,20 @@ def test_package_imports_only_stdlib_and_numpy():
         assert _imported_modules(path) <= ALLOWED, path.name
 
 
+def test_cli_imports_only_public_names():
+    # the front end speaks to the library through its public names; a
+    # private one it needs belongs behind a public function of its module
+    path = Path(qrstats.__file__).parent / "cli.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
+    ]
+    assert private == []
+
+
 def test_readme_constants_match_the_code():
     # every `module.NAME` (value) in the README names a constant of that
     # module with that value, a^b read as a power

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import signal
 import tracemalloc
 import types
 
@@ -39,9 +40,6 @@ import oracles
 
 def test_erdos_constant():
     assert erdos_constant() == 3.6746439660109136
-    for bad in (0.0, -1.0):
-        with pytest.raises(ParameterError):
-            erdos_constant(bad)
 
 
 def test_erdos_constant_partial():
@@ -54,7 +52,7 @@ def test_erdos_constant_partial():
     assert abs(partial[2] - erdos_constant()) < 1e-9
 
 
-def test_erdos_constant_stops_at_its_tail_bound():
+def test_erdos_constant_stops_at_its_tail_bound(monkeypatch):
     # the sum runs until the tail after p_k, at most p_k / 2**(k-1), is
     # below the bound; the same loop over an independent prime list
     primes = oracles.eratosthenes(10**4).tolist()
@@ -66,7 +64,8 @@ def test_erdos_constant_stops_at_its_tail_bound():
                 break
         else:
             raise AssertionError("prime list too short")
-        assert erdos_constant(bound) == total, bound
+        monkeypatch.setattr(experiments, "ERDOS_TAIL_BOUND", bound)
+        assert erdos_constant() == total, bound
 
 
 def test_erdos_mean_small():
@@ -102,7 +101,7 @@ class _SpyContext:
     def __init__(self):
         self.processes = []
 
-    def Pool(self, processes):
+    def Pool(self, processes, initializer):
         self.processes.append(processes)
         return contextlib.nullcontext(types.SimpleNamespace(imap=map))
 
@@ -119,6 +118,20 @@ def test_map_chunks_pool_has_at_most_one_process_per_chunk(monkeypatch):
     assert gap_tail_scan([11], 2, workers=8) == gap_tail_scan([11], 2) and spy.processes == [16, 5]
     with pytest.raises(ParameterError):
         gap_tail_scan(ps, 2, workers=0)
+
+
+def _signal_dispositions(args):
+    chunk, = args
+    return [(signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) for _ in chunk]
+
+
+def test_map_chunks_workers_leave_interrupts_to_the_parent():
+    # pool workers ignore SIGINT and die on SIGTERM, the parent keeps its
+    # handlers
+    handlers = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+    got = list(experiments._map_chunks(_signal_dispositions, range(4), 1, 2))
+    assert got == [(signal.SIG_IGN, signal.SIG_DFL)] * 4
+    assert (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) == handlers
 
 
 @pytest.mark.parametrize("items, cap, workers, sizes", [
@@ -209,9 +222,10 @@ def test_exceptional_sweep_sorts_h():
     assert [d.h for d in a] == [1, 3]
 
 
-def test_exceptional_witness_cap():
+def test_exceptional_witness_cap(monkeypatch):
     full = exceptional_density_sweep(10**3, 0, [1])[0]
-    capped = exceptional_density_sweep(10**3, 0, [1], witness_cap=5)[0]
+    monkeypatch.setattr(experiments, "WITNESS_CAP", 5)
+    capped = exceptional_density_sweep(10**3, 0, [1])[0]
     assert len(capped.witness_list) == 5
     assert capped.witness_list == full.witness_list[:5]
     assert capped.exceptional == full.exceptional
@@ -237,7 +251,7 @@ def test_exceptional_many_u_equals_single_u_sweeps(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_exceptional_runs_equal_one_direct_scan(workers):
+def test_exceptional_runs_equal_one_direct_scan(monkeypatch, workers):
     # 16 blocks in runs of 8, 4 or 1; at u = 0 and h = 20 the first 100
     # witnesses span seven blocks, so the witness room carries across
     # blocks inside a run and across runs
@@ -251,7 +265,9 @@ def test_exceptional_runs_equal_one_direct_scan(workers):
             want.append(ExceptionalDensity(Q, u, h, w.size, primes.size, w.size / primes.size,
                                            tuple(w[:cap].tolist()), u > 2 * Q))
     assert want[2].witness_list[-1] > Q + 6 * experiments.BLOCK_SPAN
-    assert exceptional_density_sweep(Q, us, hs, workers, witness_cap=cap) == want
+    # forked workers inherit the patched cap
+    monkeypatch.setattr(experiments, "WITNESS_CAP", cap)
+    assert exceptional_density_sweep(Q, us, hs, workers) == want
 
 
 def test_exceptional_resume_equals_full_run():

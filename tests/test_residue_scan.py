@@ -717,4 +717,4 @@ def test_table_cache_stays_within_its_budget(monkeypatch):
     monkeypatch.setattr(_KERNEL, "table_bytes", 0)
     for l in (1009, 1013, 1009, 1019):
         _KERNEL.legendre(l)
-    assert sorted(_KERNEL.tables) == [("legendre", 1009), ("legendre", 1019)]
+    assert sorted(_KERNEL.tables) == [1009, 1019]
