@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import is_perfect_square
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError, ResourceError
-from .residue_scan import _fixed_modulus, check_symbol_lanes
+from .residue_scan import _fixed_modulus, _prefix_symbol_sum, check_symbol_lanes
 from .rng import XorShift64Star
 from .sieve import check_rough, mertens_product, rough_set
 
@@ -41,33 +41,29 @@ def check_nonprincipal(q: int) -> None:
         raise PerfectSquareModulusError(f"q={q} is a perfect square; the symbol is principal")
 
 
-_SUM_CHUNK = 1 << 16
-
-
-def _symbol_sum(lo: int, hi: int, q: int) -> int:
-    """sum_{lo <= m < hi} (m|q), in chunks so memory stays bounded."""
-    return sum(
-        int(_fixed_modulus(np.arange(start, min(start + _SUM_CHUNK, hi)), q).sum())
-        for start in range(lo, hi, _SUM_CHUNK)
-    )
-
-
 def incomplete_char_sum(M: int, q: int) -> int:
     """Exact value of sum_{m=1..M} (m|q).
 
-    The symbol has period q in m, so only the final partial period is
-    summed term by term.  A full period sums to 0 unless q is a perfect
-    square, where the symbol is principal and the period sums to phi(q);
-    only then is the period evaluated, once, and reused.
+    The symbol has period q in m, so only the final partial period, the
+    prefix 1..M mod q, is summed.  A full period sums to 0 unless q is a
+    perfect square, where the symbol is principal and the period sums to
+    phi(q); only then is the period evaluated, once, and reused.  Both
+    prefixes come from residue_scan._prefix_symbol_sum, by Legendre tables
+    or from the symbols at the primes, and each is checked against
+    SYMBOL_LANE_BUDGET before any symbol is evaluated.
     """
     check_modulus(q)
     if M < 0:
         raise ParameterError(f"need M >= 0, got {M}")
     full, rem = divmod(M, q)
-    tail = _symbol_sum(1, rem + 1, q)
-    if full == 0 or not is_perfect_square(q):
+    check_symbol_lanes(rem)
+    principal = full > 0 and is_perfect_square(q)
+    if principal:
+        check_symbol_lanes(q)
+    tail = _prefix_symbol_sum(rem, q)
+    if not principal:
         return tail
-    return full * _symbol_sum(1, q + 1, q) + tail
+    return full * _prefix_symbol_sum(q, q) + tail
 
 
 def _check_float(name: str, value: int) -> None:

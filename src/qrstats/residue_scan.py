@@ -32,18 +32,28 @@ The same marks give the Legendre table of a prime l, (r|l) for
 0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
 without the Euclid loop of jacobi_many: _fixed_numerator for (a|m) over
 odd moduli m (the scans past u + h and the squared sums of
-proof_trace), _fixed_modulus for (m|q) over numerators m (character
-sums).  Each costs one gather of m mod l per prime factor l of the fixed
-side, plus one sign from m mod 8.  One cost rule, in _table_factors,
-picks tables over jacobi_many: int64 lanes, and a fixed side whose
-distinct prime factors sum to at most _TABLE_COST (32, set by
-measurement) times the lane count, each at most _TABLE_LIMIT (2**20),
-found by one numpy trial division over the base primes; every other
-call, out-of-domain lanes included, goes to jacobi_many unchanged.  The
-tables are kept per process (per thread, like the kernel) in a cache of
-at most _TABLE_CACHE_BUDGET bytes (4 MiB), least recently used out
-first, so proof_trace's two sums and the runs of a scan share them;
-none is built at import.
+proof_trace), _fixed_modulus for (m|q) over numerators m (the rough
+partition of charsums).  Each costs one gather of m mod l per prime
+factor l of the fixed side, plus one sign from m mod 8.  One cost rule,
+in _table_factors, picks tables over jacobi_many: int64 lanes, and a
+fixed side whose distinct prime factors sum to at most _TABLE_COST (32,
+set by measurement) times the lane count, each at most _TABLE_LIMIT
+(2**20), found by one numpy trial division over the base primes; every
+other call, out-of-domain lanes included, goes to jacobi_many
+unchanged.  The tables are kept per process (per thread, like the
+kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB), least
+recently used out first, so proof_trace's two sums and the runs of a
+scan share them; none is built at import.
+
+Prefix sums, sum_{1 <= m <= n} (m|q) for incomplete_char_sum, take one
+more route, _prefix_symbol_sum, decided once for all n lanes by the
+same cost rule.  Tables it accepts serve every chunk of 1..n.  A q it
+refuses with n <= _TABLE_LIMIT needs symbols at the primes l <= n alone,
+since (m|q) is completely multiplicative in m: pi(n) lanes go through
+jacobi_many instead of n, and one parity sieve over 0..n
+(_prime_symbol_sum) turns their signs into the sum.  Past _TABLE_LIMIT
+a refused q still sends all n lanes through jacobi_many, a chunk at a
+time.
 
 The least non-residue is the u = 0 case of the first non-residue past
 u, and both come from one first-hit scan, _first_hits: it walks steps
@@ -51,8 +61,9 @@ u, and both come from one first-hit scan, _first_hits: it walks steps
 (a|p) = -1.  least_nonresidues steps over the primes l, with a = l;
 first_nonresidues_after over h = 1, 2, ..., with a = u + h.  Each step
 is one _fixed_numerator call over the lanes still undecided, until at
-most _SCALAR_LANES (64) remain; those step through the scalar jacobi on
-Python ints, so a one-prime call pays no numpy overhead per step.
+most arith._SCALAR_LANES (64) remain; those step through the scalar
+jacobi on Python ints, so a one-prime call pays no numpy overhead per
+step.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arith import _lanes, jacobi, jacobi_many
+from .arith import _SCALAR_LANES, _lanes, jacobi, jacobi_many
 from .errors import ParameterError, ResourceError, ScanError
 from .sieve import _base_primes, ascending_primes, check_window
 
@@ -83,11 +94,6 @@ _TABLE_COST = 32
 _TABLE_LIMIT = 1 << 20
 _TABLE_CACHE_BUDGET = 4 << 20
 _SYMBOL_CHUNK = 1 << 16
-# A numpy step costs 40-50 us by tables and 200-350 us by jacobi_many at
-# up to 128 lanes, the scalar jacobi 1-3 us a lane (2-vCPU Xeon, numpy
-# 2.4): the scalar route wins below about 40 lanes on tables and 100 on
-# the Euclid loop, and whole scans read the same from 32 to 128.
-_SCALAR_LANES = 64
 
 
 def _check_p(p: int) -> None:
@@ -233,25 +239,27 @@ class _SquareKernel(threading.local):
 _KERNEL = _SquareKernel()
 
 
-def _table_factors(fixed, lanes: np.ndarray) -> list[tuple[int, int]] | None:
-    """The prime factors (l, e) of fixed when its symbols against the
-    lanes should come from Legendre tables; None sends them to
-    jacobi_many.
+def _table_factors(fixed, lanes: int) -> list[tuple[int, int]] | None:
+    """The prime factors (l, e) of fixed when its symbols against that
+    many int64 lanes should come from Legendre tables; None sends them to
+    jacobi_many.  The decision takes a lane count, not the lanes, so it
+    allocates nothing lane-sized; the callers check the lanes' dtype.
 
     The cost rule: the table of a prime l holds l entries and costs 3-7 ns
     an entry to build up to 2**20 entries (13-19 ns past that), while the
     Euclid loop of jacobi_many costs 150-350 ns a lane (2-vCPU Xeon,
     numpy 2.4; a table wins twice over at 32 entries a lane, from 1,000
-    lanes to 65,536).  So tables need int64 lanes, 1 <= fixed < 2**63 and
-    distinct prime factors, each at most _TABLE_LIMIT, that sum to at most
+    lanes to 65,536).  So tables need 1 <= fixed < 2**63 and distinct
+    prime factors, each at most _TABLE_LIMIT, that sum to at most
     _TABLE_COST times the lanes.  One numpy % by the base primes up to
     min(that bound, _TABLE_LIMIT, isqrt(fixed)) finds them.  A cofactor
     c > 1 left over is one prime if c <= min(bound, _TABLE_LIMIT), and
     is taken if the summed cost allows; a larger one has only prime
-    factors past the cap, so it is refused untested.
+    factors past the cap, so it is refused untested.  The bound grows
+    with the lanes, so fixed refused for some lanes is refused for fewer.
     """
-    bound = _TABLE_COST * lanes.size
-    if lanes.dtype != np.int64 or not 1 <= fixed < 1 << 63:
+    bound = _TABLE_COST * lanes
+    if not 1 <= fixed < 1 << 63:
         return None
     fixed = int(fixed)
     cap = min(bound, _TABLE_LIMIT)
@@ -305,7 +313,7 @@ def _fixed_numerator(a, m) -> np.ndarray:
     _table_factors refuses, or outside the domain, go to jacobi_many.
     """
     m = np.asarray(m)
-    factors = _table_factors(a, m)
+    factors = _table_factors(a, m.size) if m.dtype == np.int64 else None
     if factors is None or (m.size and (m.min() < 1 or not np.bitwise_and(m, 1).all())):
         return jacobi_many(a, m)
     r = np.arange(8)
@@ -324,10 +332,71 @@ def _fixed_modulus(m, q) -> np.ndarray:
     lookup per factor.  Lanes the cost rule of _table_factors refuses, or
     outside the domain, go to jacobi_many."""
     m = np.asarray(m)
-    factors = _table_factors(q, m) if q % 2 else None
+    factors = _table_factors(q, m.size) if q % 2 and m.dtype == np.int64 else None
     if factors is None or (m.size and m.min() < 0):
         return jacobi_many(m, q)
     return _table_symbols(m, factors, np.ones(8, dtype=np.int8))
+
+
+def _prefix_symbol_sum(n: int, q: int) -> int:
+    """sum_{1 <= m <= n} (m|q) for n >= 0 and odd q >= 1.
+
+    The cost rule of _table_factors decides once for all n lanes.  Tables
+    it accepts give the symbols of 1..n a chunk at a time, every chunk
+    reusing the factors.  Refused and n <= _TABLE_LIMIT, the sum comes
+    from the symbols at the primes up to n (_prime_symbol_sum); refused
+    past that, every lane goes through jacobi_many a chunk at a time.
+    """
+    factors = _table_factors(q, n)
+    if factors is None and n <= _TABLE_LIMIT:
+        return _prime_symbol_sum(n, q)
+    signs = np.ones(8, dtype=np.int8)
+    total = 0
+    for lo in range(1, n + 1, _SYMBOL_CHUNK):
+        m = np.arange(lo, min(lo + _SYMBOL_CHUNK, n + 1), dtype=np.int64)
+        total += int((jacobi_many(m, q) if factors is None else _table_symbols(m, factors, signs)).sum())
+    return total
+
+
+def _prime_symbol_sum(n: int, q: int) -> int:
+    """sum_{1 <= m <= n} (m|q) from (l|q) at the primes l <= n alone.
+
+    (m|q) is completely multiplicative in m, so it is 0 when a prime
+    factor of m divides q and otherwise -1 to the number of prime factors
+    of m, counted with multiplicity, that have (l|q) = -1.  A parity
+    sieve over 0..n flips m once per such factor: a strided slice per
+    power l**e <= n for l <= isqrt(n), and for larger l, which divide
+    each m <= n at most once and never two to one m, every l*j <= n in
+    one gather-and-scatter over distinct positions.  Multiples of the
+    primes l <= n with (l|q) = 0 are marked dead.  The symbols of the
+    primes come from jacobi_many: a q that the cost rule refuses for n
+    lanes it refuses for fewer.
+    """
+    P = _base_primes(n)
+    symbols = jacobi_many(P, q)
+    minus = P[symbols == -1]
+    odd = np.zeros(n + 1, dtype=bool)
+    small = int(np.searchsorted(minus, math.isqrt(n), side="right"))
+    for l in minus[:small].tolist():
+        power = l
+        while power <= n:
+            odd[power::power] ^= True
+            power *= l
+    large = minus[small:]
+    counts = n // large
+    # every l*j <= n for l in large: j counts up from 1 and restarts at
+    # each new l, where a step back by the last count precedes it
+    step = np.ones(int(counts.sum()), dtype=np.int32)
+    step[np.cumsum(counts[:-1])] -= counts[:-1]
+    at = np.repeat(large, counts)
+    at *= np.cumsum(step, out=step)
+    odd[at] ^= True
+    dead = np.zeros(n + 1, dtype=bool)
+    dead[0] = True
+    for l in P[symbols == 0].tolist():
+        dead[l::l] = True
+    live = n + 1 - int(np.count_nonzero(dead))
+    return live - 2 * int(np.count_nonzero(np.greater(odd, dead, out=dead)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qrstats import arith
 from qrstats.arith import is_perfect_square, jacobi, jacobi_many, legendre_euler
 from qrstats.errors import InvalidModulusError
 
@@ -133,6 +136,81 @@ def test_jacobi_many_rejects_like_jacobi():
         jacobi_many(np.array([1, -1]), 7)
     with pytest.raises(TypeError):
         jacobi_many(np.array([1.0]), 7)
+
+
+def _outcome(m, q):
+    """jacobi_many(m, q) as its shape, dtype and values, or the type and
+    message of its error."""
+    try:
+        out = jacobi_many(m, q)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return out.shape, out.dtype, out.tolist()
+
+
+def _scalar_outcome(m, q):
+    """The same outcome lane by lane through the scalar jacobi."""
+    m, q = np.broadcast_arrays(np.asarray(m, dtype=object), np.asarray(q, dtype=object))
+    try:
+        values = np.array([jacobi(int(a), int(b)) for a, b in zip(m.flat, q.flat)], dtype=np.int8)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.shape, np.dtype(np.int8), values.reshape(m.shape).tolist()
+
+
+@pytest.mark.parametrize("size", [0, 1, 64, 65])
+def test_jacobi_many_scalar_route_matches_jacobi(monkeypatch, size):
+    # up to _SCALAR_LANES lanes go to the scalar jacobi, one more to the
+    # Euclid loop; both give jacobi's values, shape, dtype and errors
+    assert arith._SCALAR_LANES == 64
+    rng = random.Random(size)
+    m = np.array([rng.randrange(2**63) for _ in range(size)], dtype=np.int64)
+    q = np.array([rng.randrange(1, 2**62, 2) for _ in range(size)], dtype=np.int64)
+    rows = {0: 0, 1: 1, 64: 8, 65: 5}[size]
+    huge = [2**63 + rng.randrange(2**70) for _ in range(size)]
+    cases = [
+        (m, q),
+        # broadcast: a scalar against lanes, and a column against a row
+        (12345, q),
+        (m, 9907),
+        (m[:rows].reshape(-1, 1), q[: size // rows if rows else 3]),
+        # lanes at or past 2**63, as Python ints and uint64
+        (huge, [b | 1 for b in huge]),
+        (np.array(huge, dtype=object) % 2**64, 2**63 + 1),
+        (np.array([2**63] * size, dtype=np.uint64), q),
+    ]
+    if size:
+        even, negative = q.copy(), m.copy()
+        even[-1], negative[0] = 10, -1
+        cases += [(m, even), (negative, q), (3, 0), (np.array([-1]), np.full(size, 7))]
+    chunks, euclid = [], arith._jacobi_chunk
+
+    def spy(a, b):
+        chunks.append(a.size)
+        return euclid(a, b)
+
+    for a, b in cases:
+        want = _scalar_outcome(a, b)
+        del chunks[:]
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_jacobi_chunk", spy)
+            assert _outcome(a, b) == want, (a, b)
+        assert bool(chunks) == (np.broadcast(np.asarray(a, dtype=object), np.asarray(b, dtype=object)).size > 64)
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_SCALAR_LANES", 0)
+            assert _outcome(a, b) == want, (a, b)
+
+
+@settings(deadline=None)
+@given(kernel_lanes)
+def test_jacobi_many_euclid_loop_matches_jacobi_on_few_lanes(lanes):
+    # the lane counts the scalar route takes, through the Euclid loop
+    m, q = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SCALAR_LANES", 0)
+        got = jacobi_many(m, q)
+    assert got.dtype == np.int8
+    assert got.tolist() == [jacobi(a, b) for a, b in lanes]
 
 
 def test_legendre_euler_known_values():

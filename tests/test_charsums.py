@@ -240,3 +240,42 @@ def test_check_sweep_raises_like_burgess_sweep():
         with pytest.raises(ParameterError):
             burgess_sweep(**kwargs)
     check_sweep(1, 3, 6)
+
+
+def _spy(monkeypatch, name, seen, measure):
+    real = getattr(residue_scan, name)
+
+    def spy(*args):
+        seen.append(measure(*args))
+        return real(*args)
+
+    monkeypatch.setattr(residue_scan, name, spy)
+
+
+def test_incomplete_sum_checks_the_lane_budget_before_any_symbol(monkeypatch):
+    with pytest.raises(ResourceError, match="symbol lanes"):
+        incomplete_char_sum(10**15, 10**15 + 37)
+    evaluated = []
+    _spy(monkeypatch, "jacobi_many", evaluated, lambda m, q: m)
+    _spy(monkeypatch, "_table_symbols", evaluated, lambda m, factors, signs: m)
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 10)
+    # 1000 tail lanes; 3 tail lanes but the 961 of the principal period
+    for M, q in ((1000, 1009), (2 * 961 + 3, 961)):
+        with pytest.raises(ResourceError, match="symbol lanes"):
+            incomplete_char_sum(M, q)
+    assert evaluated == []
+    monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 961)
+    assert incomplete_char_sum(2 * 961 + 3, 961) == 2 * 930 + 3
+    assert evaluated
+
+
+def test_burgess_sweep_takes_refused_moduli_to_the_primes(monkeypatch):
+    # the cost rule refuses tables for 20 of the sums benchmark's 100
+    # moduli; their 132,006 terms need symbols at the primes up to M alone
+    lengths, lanes = [], []
+    _spy(monkeypatch, "_prime_symbol_sum", lengths, lambda n, q: n)
+    _spy(monkeypatch, "jacobi_many", lanes, lambda m, q: m.size)
+    burgess_sweep(100, 10**4, 10**6, seed=1)
+    assert len(lengths) == 20
+    assert sum(lengths) == 132_006
+    assert sum(lanes) == 16_924

@@ -1,10 +1,12 @@
+import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrstats import residue_scan, sieve
 from qrstats.arith import jacobi, jacobi_many
@@ -667,9 +669,9 @@ def test_table_factors_trial_divide_up_to_the_square_root(monkeypatch):
     m = np.arange(1, 2**16, 2, dtype=np.int64)
     for fixed, factors in [(1000003, [(1000003, 1)]), (3 * 3 * 1000003, [(3, 2), (1000003, 1)]),
                            (997 * 1009, [(997, 1), (1009, 1)]), (2 * 1048583, None)]:
-        assert residue_scan._table_factors(fixed, m) == factors
+        assert residue_scan._table_factors(fixed, m.size) == factors
     # 31,250 lanes allow 10**6, one short of the cofactor
-    assert residue_scan._table_factors(1000003, m[:31250]) is None
+    assert residue_scan._table_factors(1000003, 31250) is None
     assert sieve._base_table[0] < 4096
     calls = _spy_on_jacobi_many(monkeypatch)
     assert _fixed_modulus(m, 1000003).tolist() == [jacobi(int(x), 1000003) for x in m]
@@ -718,3 +720,99 @@ def test_table_cache_stays_within_its_budget(monkeypatch):
     for l in (1009, 1013, 1009, 1019):
         _KERNEL.legendre(l)
     assert sorted(_KERNEL.tables) == [1009, 1019]
+
+
+# --- prefix sums: tables, or the symbols at the primes --------------------
+
+_ODD_PRIMES = primes_in(3, 10**7)
+
+
+@st.composite
+def _prefix_cases(draw):
+    """n <= 5000 and an odd q <= 10**7 made of prime powers drawn from the
+    primes up to isqrt(n), in (isqrt(n), n] and past n, perhaps squared:
+    primes, composites and squares, with factors on every side of the
+    sieve."""
+    n = draw(st.integers(0, 5000))
+    root = math.isqrt(n)
+    q = 1
+    for lo, hi in draw(st.lists(st.sampled_from([(3, root), (root + 1, n), (n + 1, 10**7)]), min_size=1, max_size=4)):
+        i, j = np.searchsorted(_ODD_PRIMES, [lo, hi + 1]).tolist()
+        if i < j:
+            factor = int(_ODD_PRIMES[draw(st.integers(i, j - 1))]) ** draw(st.integers(1, 3))
+            if q * factor <= 10**7:
+                q *= factor
+    if draw(st.booleans()) and q * q <= 10**7:
+        q *= q
+    return n, q
+
+
+def _spy_on_prime_route(mp):
+    lengths, prime_route = [], residue_scan._prime_symbol_sum
+
+    def spy(n, q):
+        lengths.append(n)
+        return prime_route(n, q)
+
+    mp.setattr(residue_scan, "_prime_symbol_sum", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("cost", [0, 32, 10**18])
+@settings(deadline=None)
+@example(case=(5000, 9999991))  # a prime
+@example(case=(4999, 3 * 5 * 7 * 11 * 13 * 17))
+@example(case=(3000, 3**2 * 7**2 * 11**2))  # a square
+@example(case=(5000, 7 * 101 * 5003))  # factors below 70, in (70, 5000] and past 5000
+@given(case=_prefix_cases())
+def test_prefix_symbol_sum_matches_scalar_jacobi(cost, case):
+    # cost 0 refuses tables for every q >= 3, so the primes take over;
+    # 10**18 takes them for every n >= 1 and q with no prime factor past
+    # 2**20
+    n, q = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_scan, "_TABLE_COST", cost)
+        lengths = _spy_on_prime_route(mp)
+        got = residue_scan._prefix_symbol_sum(n, q)
+    assert got == sum(jacobi(m, q) for m in range(1, n + 1))
+    if cost == 0 and q > 1:
+        assert lengths == [n]
+    if cost == 10**18 and n and max(oracles.factorize(q), default=1) <= residue_scan._TABLE_LIMIT:
+        assert lengths == []
+
+
+def test_prefix_symbol_sum_at_square_and_two_prime_lengths(monkeypatch):
+    # n = l**2 is flipped by the slice of l**2, n = l * l' with l' > isqrt(n)
+    # by the one scatter; the cost rule refuses q near 10**6 at these
+    # lengths, so the primes take over
+    qs = [p for p in primes_in(10**6, 10**6 + 3000).tolist() if jacobi(89, p) == jacobi(97, p) == -1][:2]
+    lengths = _spy_on_prime_route(monkeypatch)
+    for q in qs + [3 * qs[0], 9 * qs[1]]:
+        for l, k in ((97, 97), (89, 97), (3, 3331), (7, 1423)):
+            for n in (l * k - 1, l * k, l * k + 1):
+                assert residue_scan._prefix_symbol_sum(n, q) == sum(jacobi(m, q) for m in range(1, n + 1)), (n, q)
+    assert len(lengths) == 4 * 4 * 3
+
+
+def test_prefix_symbol_sum_at_the_table_limit(monkeypatch):
+    # 15 * 1048583 has a factor past 2**20, so tables are refused at any
+    # length: 2**20 lanes take the primes, one more go through jacobi_many
+    q, n = 15 * 1048583, residue_scan._TABLE_LIMIT
+    want = sum(jacobi(m, q) for m in range(1, n + 1))
+    lengths = _spy_on_prime_route(monkeypatch)
+    calls = _spy_on_jacobi_many(monkeypatch)
+    assert residue_scan._prefix_symbol_sum(n, q) == want
+    assert lengths == [n]
+    assert [np.size(m) for m, _ in calls] == [primes_in(2, n).size]
+    del calls[:]
+    assert residue_scan._prefix_symbol_sum(n + 1, q) == want + jacobi(n + 1, q)
+    assert lengths == [n]
+    assert sum(np.size(m) for m, _ in calls) == n + 1
+    # the flags and the scatter's positions stay within a few MB
+    tracemalloc.start()
+    try:
+        residue_scan._prime_symbol_sum(n, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
