@@ -48,11 +48,11 @@ scan share them; none is built at import.
 Prefix sums, sum_{1 <= m <= n} (m|q) for incomplete_char_sum, take one
 more route, _prefix_symbol_sum, decided once for all n lanes by the
 same cost rule.  Tables it accepts serve every chunk of 1..n.  A q it
-refuses with n <= _TABLE_LIMIT needs symbols at the primes l <= n alone,
-since (m|q) is completely multiplicative in m: pi(n) lanes go through
-jacobi_many instead of n, and one parity sieve over 0..n
-(_prime_symbol_sum) turns their signs into the sum.  Past _TABLE_LIMIT
-a refused q still sends all n lanes through jacobi_many, a chunk at a
+refuses with n <= sieve.TABLE_BUDGET needs symbols at the primes l <= n
+alone, since (m|q) is completely multiplicative in m: pi(n) lanes go
+through jacobi_many instead of n, and the sieve's strike kernel turns
+their signs into the sum (_prime_symbol_sum).  Past that bound a
+refused q still sends all n lanes through jacobi_many, a chunk at a
 time.
 
 The least non-residue is the u = 0 case of the first non-residue past
@@ -78,7 +78,7 @@ import numpy as np
 
 from .arith import _SCALAR_LANES, _lanes, jacobi, jacobi_many
 from .errors import ParameterError, ResourceError, ScanError
-from .sieve import _base_primes, ascending_primes, check_window
+from .sieve import SEGMENT, TABLE_BUDGET, _base_primes, _strike, ascending_primes, check_window
 
 RESIDUE_TABLE_BUDGET = 2**30  # bytes
 SYMBOL_LANE_BUDGET = 2**30
@@ -343,12 +343,12 @@ def _prefix_symbol_sum(n: int, q: int) -> int:
 
     The cost rule of _table_factors decides once for all n lanes.  Tables
     it accepts give the symbols of 1..n a chunk at a time, every chunk
-    reusing the factors.  Refused and n <= _TABLE_LIMIT, the sum comes
+    reusing the factors.  Refused and n <= TABLE_BUDGET, the sum comes
     from the symbols at the primes up to n (_prime_symbol_sum); refused
     past that, every lane goes through jacobi_many a chunk at a time.
     """
     factors = _table_factors(q, n)
-    if factors is None and n <= _TABLE_LIMIT:
+    if factors is None and n <= TABLE_BUDGET:
         return _prime_symbol_sum(n, q)
     signs = np.ones(8, dtype=np.int8)
     total = 0
@@ -361,42 +361,33 @@ def _prefix_symbol_sum(n: int, q: int) -> int:
 def _prime_symbol_sum(n: int, q: int) -> int:
     """sum_{1 <= m <= n} (m|q) from (l|q) at the primes l <= n alone.
 
-    (m|q) is completely multiplicative in m, so it is 0 when a prime
-    factor of m divides q and otherwise -1 to the number of prime factors
-    of m, counted with multiplicity, that have (l|q) = -1.  A parity
-    sieve over 0..n flips m once per such factor: a strided slice per
-    power l**e <= n for l <= isqrt(n), and for larger l, which divide
-    each m <= n at most once and never two to one m, every l*j <= n in
-    one gather-and-scatter over distinct positions.  Multiples of the
-    primes l <= n with (l|q) = 0 are marked dead.  The symbols of the
-    primes come from jacobi_many: a q that the cost rule refuses for n
-    lanes it refuses for fewer.
+    (m|q) is completely multiplicative in m: 0 when a prime factor of m
+    divides q, else -1 to the number of powers l**e dividing m of the
+    primes with (l|q) = -1.  _strike flips the multiples of each such
+    power and clears those of the primes dividing q, a window of 1..n at
+    a time.  A q the cost rule refuses for n lanes it refuses for the
+    pi(n) primes, so their symbols come from jacobi_many.
     """
     P = _base_primes(n)
     symbols = jacobi_many(P, q)
-    minus = P[symbols == -1]
-    odd = np.zeros(n + 1, dtype=bool)
-    small = int(np.searchsorted(minus, math.isqrt(n), side="right"))
-    for l in minus[:small].tolist():
-        power = l
-        while power <= n:
-            odd[power::power] ^= True
-            power *= l
-    large = minus[small:]
-    counts = n // large
-    # every l*j <= n for l in large: j counts up from 1 and restarts at
-    # each new l, where a step back by the last count precedes it
-    step = np.ones(int(counts.sum()), dtype=np.int32)
-    step[np.cumsum(counts[:-1])] -= counts[:-1]
-    at = np.repeat(large, counts)
-    at *= np.cumsum(step, out=step)
-    odd[at] ^= True
-    dead = np.zeros(n + 1, dtype=bool)
-    dead[0] = True
-    for l in P[symbols == 0].tolist():
-        dead[l::l] = True
-    live = n + 1 - int(np.count_nonzero(dead))
-    return live - 2 * int(np.count_nonzero(np.greater(odd, dead, out=dead)))
+    zero, minus = P[symbols == 0], P[symbols == -1]
+    powers, power = [minus], minus[: int(np.searchsorted(minus, math.isqrt(n), side="right"))]
+    while power.size:
+        power = power * minus[: power.size]
+        power = power[power <= n]
+        powers.append(power)
+    powers = np.concatenate(powers)
+    powers.sort()
+    # windows of about pi(n) flags, 2**18 to SEGMENT: int64 parity counts
+    # the size of the primes, and each pass over the moduli spread wide
+    total, size = 0, min(SEGMENT, max(P.size, SEGMENT >> 2))
+    for lo in range(1, n + 1, size):
+        live = np.ones(min(size, n + 1 - lo), dtype=bool)
+        odd = np.zeros(live.size, dtype=bool)
+        _strike(live, lo, zero, zero)
+        _strike(odd, lo, powers, powers, flip=True)
+        total += int(np.count_nonzero(live)) - 2 * int(np.count_nonzero(odd & live))
+    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,18 +11,19 @@ Memory budgets are enforced up front so a typo in an exponent raises a
 ResourceError instead of thrashing the machine.
 
 The three interval sieves (primes_in, squarefree_in_interval and
-rough_set) share one strike kernel, _strike, which clears every
-multiple m >= floor[i] of each modulus[i] in a mask.  It walks the mask
-one SEGMENT window at a time, so the window stays cache resident and
-its temporaries stay bounded.  Moduli below _STRIDE_LIMIT (2**12, set
-by measurement) clear a strided slice each.  Every larger modulus has
-few multiples in a window, so all of them are listed at once (np.repeat
-of the per-modulus counts, summed into positions) and cleared by one
-scatter, in the manner of the bucket sieve for large sieving primes of
-Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).  The first
-multiple of each large modulus is found afresh for every window, by one
-vector division; carrying it over would touch every modulus per window
-all the same.
+rough_set) and residue_scan's prime route of prefix character sums
+share one strike kernel, _strike, which clears every multiple m >=
+floor[i] of each modulus[i] in a mask, or flips it once per modulus
+that has it.  It walks the mask one SEGMENT window at a time, so its
+temporaries stay bounded.  Moduli below _STRIDE_LIMIT (2**12, set by
+measurement), or below mask.size >> 8 in a shorter mask, take a strided
+slice each.  The larger ones up to a window's end have few multiples in
+it, so all are listed at once (np.repeat of the per-modulus counts,
+summed into positions) and cleared by one scatter, or flipped by the
+parity of their counts, in the manner of the bucket sieve of Oliveira e
+Silva, Herzog and Pardi (Math. Comp. 83, 2014).  The first multiple of
+each is found afresh for every window, by one vector division; carrying
+it over would touch every modulus per window all the same.
 
 The base primes come from one table per process, _base_primes, which
 starts empty, grows by doubling up to TABLE_BUDGET, is sliced by
@@ -34,9 +35,9 @@ comes out of the one kernel.  Beside its own mask and result, a sieve
 holds at most that table (the primes up to TABLE_BUDGET, 5.76 million of
 them, 46 MB; a growth briefly holds the new primes and a joined copy)
 plus the temporaries of one window: a few int64 arrays over the large
-moduli and one over their multiples in the window.  primes_in hands the
-kernel one SEGMENT at a time, so it holds its output and one window,
-never the whole span.
+moduli, one over their multiples in the window and, flipping, a count
+per flag.  primes_in hands the kernel one SEGMENT at a time, so it
+holds its output and one window, never the whole span.
 """
 
 from __future__ import annotations
@@ -125,24 +126,27 @@ def ascending_primes() -> Iterator[int]:
         done, limit = primes.size, 2 * limit
 
 
-def _strike(mask: np.ndarray, lo: int, moduli: np.ndarray, floors: np.ndarray) -> None:
+def _strike(mask: np.ndarray, lo: int, moduli: np.ndarray, floors: np.ndarray, flip: bool = False) -> None:
     """Clear mask[m - lo] for every multiple m >= floors[i] of moduli[i]
-    with lo <= m < lo + mask.size.  moduli is ascending int64 and floors
-    an int64 array of the same length."""
-    split = int(np.searchsorted(moduli, _STRIDE_LIMIT))
+    with lo <= m < lo + mask.size, or with flip invert it once per such
+    modulus.  moduli is ascending int64 and floors an int64 array of the
+    same length with floors[i] >= moduli[i] >= 1."""
+    split = int(np.searchsorted(moduli, min(_STRIDE_LIMIT, mask.size >> 8)))
     small = list(zip(moduli[:split].tolist(), floors[:split].tolist()))
-    large, large_floors = moduli[split:], floors[split:]
     for offset in range(0, mask.size, SEGMENT):
         window = mask[offset : offset + SEGMENT]
         w_lo = lo + offset
         w_hi = w_lo + window.size - 1
         for p, floor in small:
-            start = -(-max(floor, w_lo) // p) * p
-            if start <= w_hi:
-                window[start - w_lo :: p] = False
-        first = -(-np.maximum(large_floors, w_lo) // large) * large
+            start = -(-max(floor, w_lo) // p) * p - w_lo
+            if start < window.size:
+                window[start::p] = ~window[start::p] if flip else False
+        # a modulus past the window's end, and so its floor, misses it
+        reach = int(np.searchsorted(moduli, w_hi, side="right"))
+        step = moduli[split:reach]
+        first = -(-np.maximum(floors[split:reach], w_lo) // step) * step
         hit = first <= w_hi
-        step = large[hit]
+        step = step[hit]
         if not step.size:
             continue
         first = first[hit] - w_lo
@@ -154,7 +158,12 @@ def _strike(mask: np.ndarray, lo: int, moduli: np.ndarray, floors: np.ndarray) -
         last = first + (count - 1) * step
         steps[(np.cumsum(count) - count)[1:]] = first[1:] - last[:-1]
         steps[0] = first[0]
-        window[np.cumsum(steps)] = False
+        at = np.cumsum(steps, out=steps)
+        if flip:
+            parity = np.bincount(at, minlength=window.size)
+            window ^= np.bitwise_and(parity, 1, out=parity).astype(bool)
+        else:
+            window[at] = False
 
 
 def _check_budgets(lo: int, hi: int) -> None:

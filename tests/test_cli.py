@@ -335,6 +335,15 @@ def test_charsum_single(capsys):
     assert rows[1].startswith("30021,966,2,-14,")
 
 
+def test_charsum_past_the_table_limit(capsys):
+    # 10**9 + 7 is refused the tables, so the sum of all 4,194,304 terms
+    # comes from the symbols at the primes; 650 is the sum over every term
+    code, out, _ = run_cli(capsys, "charsum", "--q", "1000000007", "--M", "4194304")
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 0
+    assert rows[1].startswith("1000000007,4194304,2,650,")
+
+
 def test_charsum_nu_flagged(capsys):
     _, out, _ = run_cli(capsys, "charsum", "--q", "1003", "--M", "100", "--nu", "5")
     assert "# nu_beyond_classical: true" in out.splitlines()

@@ -44,6 +44,19 @@ def test_cli_imports_only_public_names():
     assert private == []
 
 
+def test_only_the_sieve_lists_multiples():
+    # np.repeat is the bucket scatter's idiom for listing multiples, and
+    # sieve._strike is the one kernel that lists them
+    callers = [
+        path.name
+        for path in sorted(Path(qrstats.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "repeat"
+        and isinstance(node.value, ast.Name) and node.value.id == "np"
+    ]
+    assert set(callers) == {"sieve.py"}
+
+
 def test_readme_constants_match_the_code():
     # every `module.NAME` (value) in the README names a constant of that
     # module with that value, a^b read as a power

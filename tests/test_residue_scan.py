@@ -796,7 +796,8 @@ def test_prefix_symbol_sum_at_square_and_two_prime_lengths(monkeypatch):
 
 def test_prefix_symbol_sum_at_the_table_limit(monkeypatch):
     # 15 * 1048583 has a factor past 2**20, so tables are refused at any
-    # length: 2**20 lanes take the primes, one more go through jacobi_many
+    # length: 2**20 lanes and one more take the primes, and past the
+    # route's bound every lane goes through jacobi_many
     q, n = 15 * 1048583, residue_scan._TABLE_LIMIT
     want = sum(jacobi(m, q) for m in range(1, n + 1))
     lengths = _spy_on_prime_route(monkeypatch)
@@ -806,7 +807,13 @@ def test_prefix_symbol_sum_at_the_table_limit(monkeypatch):
     assert [np.size(m) for m, _ in calls] == [primes_in(2, n).size]
     del calls[:]
     assert residue_scan._prefix_symbol_sum(n + 1, q) == want + jacobi(n + 1, q)
-    assert lengths == [n]
+    assert lengths == [n, n + 1]
+    assert [np.size(m) for m, _ in calls] == [primes_in(2, n + 1).size]
+    del calls[:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_scan, "TABLE_BUDGET", n)
+        assert residue_scan._prefix_symbol_sum(n + 1, q) == want + jacobi(n + 1, q)
+    assert lengths == [n, n + 1]
     assert sum(np.size(m) for m, _ in calls) == n + 1
     # the flags and the scatter's positions stay within a few MB
     tracemalloc.start()
@@ -816,3 +823,18 @@ def test_prefix_symbol_sum_at_the_table_limit(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 10 << 20
+    # the tables serve 3 * 1000003 at any length; refused, 2**24 + 1 lanes
+    # take the primes, many windows of them, for the same sum
+    q, n = 3 * 1000003, (1 << 24) + 1
+    del lengths[:]
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
+    want = residue_scan._prefix_symbol_sum(n, q)
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 0)
+    tracemalloc.start()
+    try:
+        assert residue_scan._prefix_symbol_sum(n, q) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths == [n]
+    assert peak < 64 << 20

@@ -119,6 +119,47 @@ def test_primes_in_hi_at_a_base_prime_square(p):
         assert primes_in(hi - 3000, hi).tolist() == _primes_by_mr(hi - 3000, hi)
 
 
+def _divisor_parity(lo, size, moduli, floors):
+    # the parity of #{i : moduli[i] divides m and m >= floors[i]}, m by m
+    m = np.arange(lo, lo + size, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    for p, floor in zip(moduli.tolist(), floors.tolist()):
+        counts += (m % p == 0) & (m >= floor)
+    return counts % 2 == 1
+
+
+@pytest.mark.parametrize(
+    "lo, size, moduli",
+    [
+        # 67**2 and 67**3 both past the split, sharing every multiple of 67**3
+        (0, SEGMENT, [67**2, 67**3]),
+        (1, SEGMENT + 3, [2, 3, 4, 67, 67**2, 67**3, 4099, 4111]),
+        # a window across 4099 * 4111, the first multiple the two share
+        (4099 * 4111 - 5000, 2 * SEGMENT + 77, [3, 9, 4093, 4099, 4111, 4099 * 4111]),
+        # short masks on both sides of the split min(_STRIDE_LIMIT, size >> 8)
+        (7, 255, [2, 3, 4, 5, 25, 27, 261]),  # 261 at the mask's end
+        (1000, 5 * 256, [2, 4, 5, 7, 25, 49]),
+        (1000, 5 * 256 - 1, [2, 4, 5, 7, 25, 49]),
+        (10**6, 3000, [2, 3, 8, 9, 11, 13, 121, 169, 1331, 2003]),
+        (0, 1 << 14, [2, 3, 61, 64, 67, 127, 4096, 20000]),
+    ],
+)
+def test_strike_flip_counts_the_parity_of_divisors(lo, size, moduli):
+    moduli = np.array(moduli, dtype=np.int64)
+    floors = moduli * (1 + np.arange(moduli.size) % 3)
+    flags = np.random.default_rng(size).integers(0, 2, size).astype(bool)
+    want = flags ^ _divisor_parity(lo, size, moduli, floors)
+    sieve._strike(flags, lo, moduli, floors, flip=True)
+    assert np.array_equal(flags, want)
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 7 * 256 - 1, 7 * 256, 3000, 1 << 14, (1 << 16) + 1])
+def test_primes_in_short_ranges_across_the_split(size):
+    # base primes up to about 10**6 reach past the split of every mask
+    for lo in (10**12 + 39, 2 * SEGMENT + 5):
+        assert primes_in(lo, lo + size - 1).tolist() == _primes_by_mr(lo, lo + size - 1)
+
+
 def test_primes_in_random_windows_near_1e15():
     rng = random.Random(20260)
     # highest first, so one base table serves every window
