@@ -7,9 +7,10 @@ return plain ints; symbol values are restricted to {-1, 0, +1}.
 jacobi_many evaluates the same symbol over whole int64 arrays and hands
 every lane outside its domain to the scalar jacobi.  Where one side of
 the symbol is fixed and its prime factors sum to little against the
-lane count, the callers go through residue_scan's Legendre-table entries
-(_fixed_numerator, _fixed_modulus) instead, which fall back to
-jacobi_many under their one cost rule.  jacobi_many itself and
+lane count, the callers go through residue_scan's Legendre tables
+instead (_fixed_numerator over any lanes, _range_symbols over
+consecutive ones), which fall back to jacobi_many under their one cost
+rule.  jacobi_many itself and
 residue_scan's first-hit scan step at most _SCALAR_LANES lanes through
 the scalar jacobi.  The scalar jacobi stays the reference for all of
 them, and legendre_euler, which shares no code with it, checks it in

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import is_perfect_square
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError, ResourceError
-from .residue_scan import _fixed_modulus, _prefix_symbol_sum, check_symbol_lanes
+from .residue_scan import _SYMBOL_CHUNK, _masked_symbols, _prefix_symbol_sum, _table_route, check_symbol_lanes
 from .rng import XorShift64Star
 from .sieve import check_rough, mertens_product, rough_set
 
@@ -226,13 +226,23 @@ def rough_error_scale(eta: float, M: int) -> float:
 
 def rough_partition(eta: float, M: int, q: int) -> RoughPartition:
     """Classify every member of rough_set(eta, M), sieved afresh on each
-    call, by its symbol mod q."""
+    call, by its symbol mod q.
+
+    The symbols come a window of the rough mask at a time, by the range
+    route of residue_scan, zero off the mask, so no member list is made:
+    a window's nonzero count and sum give its +1 and -1 counts.  The cost
+    rule decides for the members' count, as the lanes route would.
+    """
     check_modulus(q)
     rs = rough_set(eta, M)
-    symbols = _fixed_modulus(rs.members, q)
-    plus = int(np.count_nonzero(symbols == 1))
-    minus = int(np.count_nonzero(symbols == -1))
-    zero = symbols.size - plus - minus
+    route = _table_route(q, rs.count, False)
+    nonzero = total = 0
+    for lo in range(0, rs.mask.size, _SYMBOL_CHUNK):
+        symbols = _masked_symbols(q, False, route, lo, rs.mask[lo : lo + _SYMBOL_CHUNK])
+        nonzero += int(np.count_nonzero(symbols))
+        total += int(symbols.sum())
+    plus, minus = (nonzero + total) // 2, (nonzero - total) // 2
+    zero = rs.count - plus - minus
     prod = mertens_product(rs.cutoff).product if rs.cutoff >= 2 else 1.0
     main = 0.5 * M * prod
     return RoughPartition(

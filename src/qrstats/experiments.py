@@ -35,9 +35,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSetError, ParameterError, ResourceError
-from .residue_scan import _check_p, _fixed_numerator, _gap_tail_of, check_symbol_lanes
+from .residue_scan import _SYMBOL_CHUNK, _check_p, _gap_tail_of, _masked_symbols, _numerator_rows, _table_route
+from .residue_scan import check_symbol_lanes
 from .residue_scan import first_nonresidues_after, least_nonresidues
 from .sieve import (
+    RoughSet,
     ascending_primes,
     check_range,
     check_rough,
@@ -541,18 +543,41 @@ class TraceReport:
     notes: tuple[str, ...]
 
 
-def _squared_symbol_sums(ns: Sequence[int], moduli: np.ndarray) -> tuple[int, int]:
-    """sum over m in moduli of (sum over n in ns of (n|m))**2, with each
-    member of ns a fixed numerator (_fixed_numerator); and the count of
-    pairs (n, m) with (n|m) != 0, which for odd m are those with m
-    coprime to n."""
-    acc = np.zeros(moduli.shape, dtype=np.int64)
-    nonzero = 0
-    for n in ns:
-        symbols = _fixed_numerator(n, moduli)
-        acc += symbols
-        nonzero += int(np.count_nonzero(symbols))
-    return int((acc * acc).sum()), nonzero
+def _squared_symbol_sums(windows: Iterator[Iterator[np.ndarray]]) -> tuple[int, int]:
+    """sum over lanes of (sum of the rows)**2, and the count of nonzero
+    entries of the rows, where each window yields one int8 row per member
+    of N over its lanes.  Each window has its own int32 accumulator:
+    |N| <= h // 4 + 1, and check_trace's lane budget with h < Q keeps
+    |N|**2 below 2**27, so no square overflows."""
+    total = nonzero = 0
+    for rows in windows:
+        acc = None
+        for row in rows:
+            acc = row.astype(np.int32) if acc is None else np.add(acc, row, out=acc)
+            nonzero += int(np.count_nonzero(row))
+        total += int(np.square(acc, out=acc).sum())
+    return total, nonzero
+
+
+def _direct_rows(ns: list[int], primes: np.ndarray) -> Iterator[Iterator[np.ndarray]]:
+    """(n|p) for the members n of N over the primes p, one window of
+    _SYMBOL_CHUNK primes at a time, sharing the gathers of each prime
+    factor between the members (_numerator_rows)."""
+    routes = [_table_route(n, primes.size, True) for n in ns]
+    for lo in range(0, primes.size, _SYMBOL_CHUNK):
+        yield _numerator_rows(ns, routes, primes[lo : lo + _SYMBOL_CHUNK])
+
+
+def _rough_rows(ns: list[int], rough: RoughSet) -> Iterator[Iterator[np.ndarray]]:
+    """(n|m) for the members n of N over the rough members m, one window
+    of _SYMBOL_CHUNK positions of the mask at a time: each row comes from
+    the range route and is zero off the mask, so no member list is made.
+    The cost rule decides per n for the rough members' count, as the
+    lanes route would."""
+    routes = [_table_route(n, rough.count, True) for n in ns]
+    for lo in range(0, rough.mask.size, _SYMBOL_CHUNK):
+        keep = rough.mask[lo : lo + _SYMBOL_CHUNK]
+        yield (_masked_symbols(n, True, route, lo, keep) for n, route in zip(ns, routes))
 
 
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
@@ -590,6 +615,13 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     the diagonal pairs (n, n) alone (TraceReport), so its square part is
     the count of nonzero symbols (n|m) over the rough set.  All sums are
     exact integers; only the rhs_terms are floating point.
+
+    Both squared sums run a window at a time, with an int32 accumulator
+    per window (_squared_symbol_sums).  S_direct takes the primes of
+    [Q, 2Q] as lanes, one m mod l per prime factor l shared by the members
+    of N (_numerator_rows).  S_rough and the nonzero count take the range
+    route over the rough mask of [0, 2Q], which divides no lane and lists
+    no rough member (residue_scan's _masked_symbols).
     """
     check_trace(Q, u, h, eta)
     M = 2 * Q
@@ -621,11 +653,11 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
         raise DegenerateSetError(f"chosen set has {len(ns)} members; need at least 2")
 
     primes = primes_in(Q, 2 * Q)
-    s_direct, _ = _squared_symbol_sums(ns, primes)
+    s_direct, _ = _squared_symbol_sums(_direct_rows(ns, primes))
     exceptional = int(np.count_nonzero(first_nonresidues_after(primes, u, h) > h))
 
     rough = rough_set(eta, M)
-    s_rough, square_pair_sum = _squared_symbol_sums(ns, rough.members)
+    s_rough, square_pair_sum = _squared_symbol_sums(_rough_rows(ns, rough))
 
     n_size = t_count = len(ns)
     denom = (n_size - 1) ** 2

@@ -30,11 +30,20 @@ RESIDUE_TABLE_BUDGET bytes has only small intermediates beside it.
 
 The same marks give the Legendre table of a prime l, (r|l) for
 0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
-without the Euclid loop of jacobi_many: _fixed_numerator for (a|m) over
-odd moduli m (the scans past u + h and the squared sums of
-proof_trace), _fixed_modulus for (m|q) over numerators m (the rough
-partition of charsums).  Each costs one gather of m mod l per prime
-factor l of the fixed side, plus one sign from m mod 8.  One cost rule,
+without the Euclid loop of jacobi_many, by one of two routes.  The
+lanes route takes any lanes m and costs one gather of m mod l per prime
+factor l of the fixed side, plus one sign from m mod 8: _fixed_numerator
+for (a|m) over odd moduli m (the first-hit scans), and _numerator_rows
+for several numerators over one set of moduli, one gather per prime
+shared by the numerators (S_direct of proof_trace, over the primes of
+[Q, 2Q]).  The range route, _range_symbols, takes consecutive lanes lo,
+lo+1, ..., and divides none of them: the row of l is a slice of its
+table, or the table tiled from lo mod l, and the signs are tiled the
+same way.  Prefix sums (below), the rough partition of charsums and
+S_rough of proof_trace take it, one window of _SYMBOL_CHUNK lanes at a
+time; the last two keep only the lanes set in the rough mask
+(_masked_symbols), so no member list is made.  _table_route holds the
+decision and the signs for both routes.  One cost rule,
 in _table_factors, picks tables over jacobi_many: int64 lanes, and a
 fixed side whose distinct prime factors sum to at most _TABLE_COST (32,
 set by measurement) times the lane count, each at most _TABLE_LIMIT
@@ -45,9 +54,9 @@ kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB), least
 recently used out first, so proof_trace's two sums and the runs of a
 scan share them; none is built at import.
 
-Prefix sums, sum_{1 <= m <= n} (m|q) for incomplete_char_sum, take one
-more route, _prefix_symbol_sum, decided once for all n lanes by the
-same cost rule.  Tables it accepts serve every chunk of 1..n.  A q it
+Prefix sums, sum_{1 <= m <= n} (m|q) for incomplete_char_sum, come from
+_prefix_symbol_sum, decided once for all n lanes by the same cost rule.
+Tables it accepts serve every window of 1..n by the range route.  A q it
 refuses with n <= sieve.TABLE_BUDGET needs symbols at the primes l <= n
 alone, since (m|q) is completely multiplicative in m: pi(n) lanes go
 through jacobi_many instead of n, and the sieve's strike kernel turns
@@ -68,11 +77,12 @@ step.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,6 +291,34 @@ def _table_factors(fixed, lanes: int) -> list[tuple[int, int]] | None:
     return factors
 
 
+def _table_route(fixed, lanes: int, numerator: bool):
+    """(factors, signs) for _table_symbols or _range_symbols when the cost
+    rule of _table_factors takes tables for fixed against that many int64
+    lanes m, else None: (fixed|m) for a fixed numerator, (m|fixed) for a
+    fixed modulus, which must be odd.
+
+    With a = 2**e * prod l**e_l, (a|m) = (2|m)**e * prod (l|m)**e_l, and
+    by reciprocity (l|m) = (m mod l | l), flipped when l = m = 3 mod 4
+    (Ireland and Rosen, ch. 5; Cohen, section 1.4).  All the flips and
+    (2|m) = -1 for m = 3, 5 mod 8 make the numerator's signs, one per
+    m mod 8; a fixed modulus q = prod l**e_l has no signs, since
+    (m|q) = prod (m mod l | l)**e_l.
+    """
+    factors = _table_factors(fixed, lanes) if numerator or fixed % 2 else None
+    if factors is None:
+        return None
+    if not numerator:
+        return factors, np.ones(8, dtype=np.int8)
+    r = np.arange(8)
+    flip = np.zeros(8, dtype=bool)
+    for l, e in factors:
+        if e % 2 and l == 2:
+            flip ^= (r == 3) | (r == 5)
+        elif e % 2 and l % 4 == 3:
+            flip ^= r % 4 == 3
+    return factors, np.where(flip, -1, 1).astype(np.int8)
+
+
 def _table_symbols(m: np.ndarray, factors: list[tuple[int, int]], signs: np.ndarray) -> np.ndarray:
     """signs[m mod 8] times the product of (m mod l | l)**e over the odd
     factors (l, e), lane by lane as int8, 2**16 lanes at a time."""
@@ -302,59 +340,145 @@ def _table_symbols(m: np.ndarray, factors: list[tuple[int, int]], signs: np.ndar
     return out
 
 
-def _fixed_numerator(a, m) -> np.ndarray:
-    """jacobi_many(a, m) for one numerator a >= 0 over odd moduli m > 0.
+def _tile(table: np.ndarray, r: int, n: int) -> np.ndarray:
+    """table[(r + i) mod table.size] for 0 <= i < n, so no lane is
+    divided: a slice of table (a view) when the n lanes fit in one period
+    from r, else one period from r and doubling copies of it."""
+    period = table.size
+    if r + n <= period:
+        return table[r : r + n]
+    out = np.empty(n, dtype=table.dtype)
+    k = min(period - r, n)
+    out[:k] = table[r : r + k]
+    j = min(r, n - k)
+    out[k : k + j] = table[:j]
+    k += j
+    while k < n:  # out[:k] holds whole periods
+        step = min(k, n - k)
+        out[k : k + step] = out[:step]
+        k += step
+    return out
 
-    With a = 2**e * prod l**e_l, (a|m) = (2|m)**e * prod (l|m)**e_l, and
-    by reciprocity (l|m) = (m mod l | l), flipped when l = m = 3 mod 4
-    (Ireland and Rosen, ch. 5; Cohen, section 1.4).  All the flips and
-    (2|m) = -1 for m = 3, 5 mod 8 make one sign of m mod 8; the rest is a
-    table lookup of m mod l per factor.  Lanes the cost rule of
-    _table_factors refuses, or outside the domain, go to jacobi_many.
+
+def _range_symbols(lo: int, n: int, factors: list[tuple[int, int]], signs: np.ndarray) -> np.ndarray:
+    """_table_symbols of the consecutive lanes lo, lo+1, ..., lo+n-1,
+    without the lanes: signs tiled from lo mod 8 times, per odd factor l,
+    the Legendre table of l tiled from lo mod l (_tile), a slice of it
+    when the lanes fit in one period.  Fresh int8; callers pass one
+    window, at most _SYMBOL_CHUNK lanes."""
+    out = np.array(_tile(signs, lo % 8, n))
+    for l, e in factors:
+        if l != 2:
+            f = _tile(_KERNEL.legendre(l), lo % l, n)
+            out *= f
+            if e % 2 == 0:
+                out *= f
+    return out
+
+
+def _masked_symbols(fixed, numerator: bool, route, lo: int, keep: np.ndarray) -> np.ndarray:
+    """The symbols of the lanes m = lo + i with keep[i] set, 0 at the
+    others, as int8: (fixed|m) for a fixed numerator, else (m|fixed).
+    route is _table_route's for fixed: tables give every lane of the
+    window by _range_symbols, and None sends the kept lanes alone through
+    jacobi_many."""
+    if route is None:
+        symbols = np.zeros(keep.size, dtype=np.int8)
+        m = np.flatnonzero(keep) + lo
+        symbols[keep] = jacobi_many(fixed, m) if numerator else jacobi_many(m, fixed)
+        return symbols
+    symbols = _range_symbols(lo, keep.size, *route)
+    symbols *= keep
+    return symbols
+
+
+def _numerator_rows(ns: Sequence[int], routes: list, m: np.ndarray) -> Iterator[np.ndarray]:
+    """_fixed_numerator(n, m) for each n of ns in turn, with routes[i]
+    _table_route's for ns[i], over one window of odd int64 moduli m >= 1.
+
+    m mod 8 is taken once, and m mod l with its Legendre gather once per
+    odd prime l of the members; the gathers of a prime that divides two or
+    more of them are kept for the window.  Two members of N divisible by l
+    lie in one class mod 4, so they differ by a multiple of 4l: at most
+    pi(h / 4) rows are kept for a window [u+1, u+h].  Rows the cost rule
+    refuses come from jacobi_many.
+    Each yielded row is overwritten by the next.
+    """
+    uses = collections.Counter(l for route in routes if route for l, _ in route[0] if l != 2)
+    low = np.bitwise_and(m, 7)
+    rem = np.empty(m.size, dtype=np.int64)
+    out, spare = np.empty(m.size, dtype=np.int8), np.empty(m.size, dtype=np.int8)
+    signed, shared = {}, {}
+    for n, route in zip(ns, routes):
+        if route is None:
+            yield jacobi_many(n, m)
+            continue
+        factors, signs = route
+        key = signs.tobytes()
+        if key not in signed:
+            signed[key] = signs[low]
+        np.copyto(out, signed[key])
+        for l, e in factors:
+            if l == 2:
+                continue
+            f = shared.get(l)
+            if f is None:
+                f = np.take(_KERNEL.legendre(l), _remainder(m, l, rem), out=spare if uses[l] == 1 else None)
+                if uses[l] > 1:
+                    shared[l] = f
+            out *= f
+            if e % 2 == 0:
+                out *= f
+        yield out
+
+
+def _fixed_numerator(a, m) -> np.ndarray:
+    """jacobi_many(a, m) for one numerator a >= 0 over odd moduli m > 0,
+    by _table_route's signs of m mod 8 and a table lookup of m mod l per
+    prime factor l of a.  Lanes the cost rule of _table_factors refuses,
+    or outside the domain, go to jacobi_many.
     """
     m = np.asarray(m)
-    factors = _table_factors(a, m.size) if m.dtype == np.int64 else None
-    if factors is None or (m.size and (m.min() < 1 or not np.bitwise_and(m, 1).all())):
+    route = _table_route(a, m.size, True) if m.dtype == np.int64 else None
+    if route is None or (m.size and (m.min() < 1 or not np.bitwise_and(m, 1).all())):
         return jacobi_many(a, m)
-    r = np.arange(8)
-    flip = np.zeros(8, dtype=bool)
-    for l, e in factors:
-        if e % 2 and l == 2:
-            flip ^= (r == 3) | (r == 5)
-        elif e % 2 and l % 4 == 3:
-            flip ^= r % 4 == 3
-    return _table_symbols(m, factors, np.where(flip, -1, 1).astype(np.int8))
+    return _table_symbols(m, *route)
 
 
 def _fixed_modulus(m, q) -> np.ndarray:
     """jacobi_many(m, q) for numerators m >= 0 and one odd modulus q > 0:
     with q = prod l**e_l, (m|q) = prod (m mod l | l)**e_l, one table
     lookup per factor.  Lanes the cost rule of _table_factors refuses, or
-    outside the domain, go to jacobi_many."""
+    outside the domain, go to jacobi_many.  rough_partition takes the
+    range route instead; this lanes route is its reference."""
     m = np.asarray(m)
-    factors = _table_factors(q, m.size) if q % 2 and m.dtype == np.int64 else None
-    if factors is None or (m.size and m.min() < 0):
+    route = _table_route(q, m.size, False) if m.dtype == np.int64 else None
+    if route is None or (m.size and m.min() < 0):
         return jacobi_many(m, q)
-    return _table_symbols(m, factors, np.ones(8, dtype=np.int8))
+    return _table_symbols(m, *route)
 
 
 def _prefix_symbol_sum(n: int, q: int) -> int:
     """sum_{1 <= m <= n} (m|q) for n >= 0 and odd q >= 1.
 
     The cost rule of _table_factors decides once for all n lanes.  Tables
-    it accepts give the symbols of 1..n a chunk at a time, every chunk
-    reusing the factors.  Refused and n <= TABLE_BUDGET, the sum comes
-    from the symbols at the primes up to n (_prime_symbol_sum); refused
-    past that, every lane goes through jacobi_many a chunk at a time.
+    it accepts give the symbols of 1..n a window at a time by the range
+    route (_range_symbols), which divides no lane.  Refused and
+    n <= TABLE_BUDGET, the sum comes from the symbols at the primes up to
+    n (_prime_symbol_sum); refused past that, every lane goes through
+    jacobi_many a window at a time.
     """
-    factors = _table_factors(q, n)
-    if factors is None and n <= TABLE_BUDGET:
+    route = _table_route(q, n, False)
+    if route is None and n <= TABLE_BUDGET:
         return _prime_symbol_sum(n, q)
-    signs = np.ones(8, dtype=np.int8)
     total = 0
     for lo in range(1, n + 1, _SYMBOL_CHUNK):
-        m = np.arange(lo, min(lo + _SYMBOL_CHUNK, n + 1), dtype=np.int64)
-        total += int((jacobi_many(m, q) if factors is None else _table_symbols(m, factors, signs)).sum())
+        size = min(_SYMBOL_CHUNK, n + 1 - lo)
+        if route is None:
+            symbols = jacobi_many(np.arange(lo, lo + size, dtype=np.int64), q)
+        else:
+            symbols = _range_symbols(lo, size, *route)
+        total += int(symbols.sum())
     return total
 
 

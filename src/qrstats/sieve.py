@@ -347,18 +347,23 @@ def mertens_product(y: float) -> MertensProduct:
     """
     if y < 2:
         raise ParameterError(f"need y >= 2, got {y}")
-    logs = [math.log1p(-1.0 / p) for p in primes_upto(int(math.floor(y))).tolist()]
+    logs = map(math.log1p, (-1.0 / primes_upto(int(math.floor(y)))).tolist())
     product = math.exp(math.fsum(logs))
     return MertensProduct(product, product * math.exp(EULER_GAMMA) * math.log(y))
 
 
 def feller_tornier_A(p_max: int) -> float:
     """Partial Euler product of (1 - 2/p**2) over primes p <= p_max,
-    the density constant for pairs of adjacent square-free integers."""
+    the density constant for pairs of adjacent square-free integers.
+
+    The terms -2/p**2 come from one numpy division: p * p is exact in
+    int64, and its cast to float64 and the division round as Python's
+    int/float division does, so the value matches a per-prime loop.
+    """
     if p_max < 2:
         raise ParameterError(f"need p_max >= 2, got {p_max}")
-    logs = [math.log1p(-2.0 / (p * p)) for p in primes_upto(p_max).tolist()]
-    return math.exp(math.fsum(logs))
+    p = primes_upto(p_max)
+    return math.exp(math.fsum(map(math.log1p, (-2.0 / (p * p)).tolist())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrstats import residue_scan
 from qrstats.arith import jacobi
@@ -258,6 +259,7 @@ def test_incomplete_sum_checks_the_lane_budget_before_any_symbol(monkeypatch):
     evaluated = []
     _spy(monkeypatch, "jacobi_many", evaluated, lambda m, q: m)
     _spy(monkeypatch, "_table_symbols", evaluated, lambda m, factors, signs: m)
+    _spy(monkeypatch, "_range_symbols", evaluated, lambda lo, n, factors, signs: n)
     monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 10)
     # 1000 tail lanes; 3 tail lanes but the 961 of the principal period
     for M, q in ((1000, 1009), (2 * 961 + 3, 961)):
@@ -279,3 +281,22 @@ def test_burgess_sweep_takes_refused_moduli_to_the_primes(monkeypatch):
     assert len(lengths) == 20
     assert sum(lengths) == 132_006
     assert sum(lanes) == 16_924
+
+
+@pytest.mark.parametrize("cost", [0, 32])
+@settings(deadline=None, max_examples=40)
+@example(eta=0.1, M=200_000, q=1000003)  # four windows of the mask
+@example(eta=0.05, M=30, q=9 * 25 * 7)  # cutoff below 2: even members
+@example(eta=0.3, M=70_000, q=3**4 * 1019)
+@given(
+    eta=st.sampled_from([0.05, 0.1, 0.2, 0.5]),
+    M=st.one_of(st.integers(2, 3000), st.integers(60_000, 140_000)),
+    q=st.one_of(odd_moduli, st.sampled_from([1009 * 1013, 3**2 * 5**3 * 7, 65537, 1048573, 15 * 1048583])),
+)
+def test_rough_partition_by_ranges_equals_the_lanes_route(cost, eta, M, q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_scan, "_TABLE_COST", cost)
+        part = rough_partition(eta, M, q)
+        symbols = residue_scan._fixed_modulus(rough_set(eta, M).members, q)
+    plus, minus = int(np.count_nonzero(symbols == 1)), int(np.count_nonzero(symbols == -1))
+    assert (part.count_plus, part.count_minus, part.count_zero) == (plus, minus, symbols.size - plus - minus)

@@ -30,6 +30,7 @@ from qrstats.experiments import (
     proof_trace,
     squarefree_pair_density,
 )
+from qrstats.charsums import rough_partition
 from qrstats.residue_scan import first_nonresidues_after, least_nonresidues
 from qrstats.sieve import feller_tornier_A, primes_in, rough_set
 
@@ -499,6 +500,105 @@ def test_trace_square_pairs_match_oracle(Q, u, h, eta):
     assert t.T == len(pairs)
     assert t.square_pair_sum == sum(1 for i, j in pairs for m in members if math.gcd(m, ns[i] * ns[j]) == 1)
     assert t.square_pair_bound == len(pairs) * len(members)
+
+
+def _lane_sums(ns, moduli):
+    """The squared sums over a list of moduli by the lanes route, one
+    _fixed_numerator call per member: sum over m of (sum over n of
+    (n|m))**2, and the count of nonzero (n|m)."""
+    acc, nonzero = np.zeros(moduli.size, dtype=np.int64), 0
+    for n in ns:
+        symbols = residue_scan._fixed_numerator(n, moduli)
+        acc += symbols
+        nonzero += int(np.count_nonzero(symbols))
+    return int((acc * acc).sum()), nonzero
+
+
+def _traced(monkeypatch, Q, u, h, eta):
+    """proof_trace(Q, u, h, eta) with the set N it used."""
+    seen = []
+    real = experiments._direct_rows
+
+    def spy(ns, primes):
+        seen.append(list(ns))
+        return real(ns, primes)
+
+    monkeypatch.setattr(experiments, "_direct_rows", spy)
+    t = proof_trace(Q, u, h, eta)
+    monkeypatch.setattr(experiments, "_direct_rows", real)
+    return t, seen[0]
+
+
+@pytest.mark.parametrize("cost", [0, 32])
+@settings(deadline=None, max_examples=30)
+@example(case=(40000, 0, 30, 0.1))  # a rough mask of 80,001 flags, two windows
+@example(case=(40000, 10**6, 40, 0.15))  # small h
+@example(case=(10**6, 12345, 9, 0.1))  # 70,435 primes, two windows of them
+@example(case=(1000, 2**70 + 3, 9, 0.15))  # members past int64
+@given(case=st.tuples(
+    st.integers(10, 3000),
+    st.one_of(st.integers(0, 60), st.integers(10**4, 10**12)),
+    st.integers(2, 80),
+    st.sampled_from([0.1, 0.15, 0.3]),
+))
+def test_trace_sums_by_ranges_equal_the_lanes_route(cost, case):
+    Q, u, h, eta = case
+    try:
+        check_trace(Q, u, h, eta)
+    except ParameterError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue_scan, "_TABLE_COST", cost)
+        try:
+            t, ns = _traced(mp, Q, u, h, eta)
+        except DegenerateSetError:
+            assume(False)
+        rough = rough_set(eta, 2 * Q)
+        s_direct, _ = _lane_sums(ns, primes_in(Q, 2 * Q))
+        s_rough, square_pair_sum = _lane_sums(ns, rough.members)
+    assert (t.N_size, t.T, t.rough_size) == (len(ns), len(ns), rough.count)
+    assert (t.S_direct, t.S_rough, t.square_pair_sum) == (s_direct, s_rough, square_pair_sum)
+    assert t.nonsquare_pair_sum == s_rough - square_pair_sum
+    assert t.square_pair_bound == len(ns) * rough.count
+    assert t.exceptional_bound == s_direct / (len(ns) - 1) ** 2
+    assert t.exceptional == int(np.count_nonzero(first_nonresidues_after(primes_in(Q, 2 * Q), u, h) > h))
+    _assert_chain(t)
+
+
+def test_trace_and_partition_never_list_rough_members(monkeypatch):
+    def refuse(self):
+        raise AssertionError("RoughSet.members listed")
+
+    monkeypatch.setattr(sieve.RoughSet, "members", property(refuse))
+    for cost in (0, 32):
+        monkeypatch.setattr(residue_scan, "_TABLE_COST", cost)
+        proof_trace(40000, 0, 30, 0.1)
+        proof_trace(40000, 10**6, 40, 0.15)
+        rough_partition(0.1, 10**5, 1000003)
+        rough_partition(0.1, 10**5, 10007)
+
+
+def test_direct_sums_take_one_remainder_per_prime(monkeypatch):
+    # proof_trace(10**5, 0, 3200, 0.1): one m mod l per odd prime l of the
+    # members of N over the 8,392 primes of [Q, 2Q], not one per member
+    # and factor
+    window = sieve.squarefree_in_interval(0, 3200)
+    n1, n3 = window.members_mod4(1), window.members_mod4(3)
+    ns = (n3 if n3.size > n1.size else n1).tolist()
+    primes = primes_in(10**5, 2 * 10**5)
+    want = _lane_sums(ns, primes)  # builds every Legendre table needed
+    calls = []
+    real = residue_scan._remainder
+
+    def spy(x, k, out):
+        calls.append(k)
+        return real(x, k, out)
+
+    monkeypatch.setattr(residue_scan, "_remainder", spy)
+    assert experiments._squared_symbol_sums(experiments._direct_rows(ns, primes)) == want
+    odd_primes = {l for n in ns for l in oracles.factorize(n) if l != 2}
+    assert sorted(calls) == sorted(odd_primes)
+    assert len(calls) == 315
 
 
 def test_trace_u_past_range_is_flagged():

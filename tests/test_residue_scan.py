@@ -838,3 +838,58 @@ def test_prefix_symbol_sum_at_the_table_limit(monkeypatch):
         tracemalloc.stop()
     assert lengths == [n]
     assert peak < 64 << 20
+
+
+# --- symbols over ranges ---------------------------------------------------
+
+_CHUNK = residue_scan._SYMBOL_CHUNK
+
+
+@st.composite
+def _range_cases(draw):
+    """A fixed numerator >= 1, or an odd fixed modulus, and a range of n
+    lanes from lo: lo = 0, large, or just below a window's end."""
+    numerator = draw(st.booleans())
+    fixed = draw(_fixed_sides(odd=not numerator).filter(lambda f: f >= 1))
+    lo = draw(st.one_of(st.just(0), st.integers(0, 10**12), st.integers(1, 4).map(lambda k: k * _CHUNK - 7)))
+    return numerator, fixed, lo, draw(st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+
+
+@settings(deadline=None, max_examples=80)
+@example(case=(False, 3**2 * 5 * 1009, 0, 0))
+@example(case=(False, 1048573, 1048573 - 10, 3000))  # the prime below 2**20, wrapping once
+@example(case=(True, 8 * 7**2 * 1019, _CHUNK - 1, 2500))
+@example(case=(True, 1, 10**12 + 3, 17))
+@given(case=_range_cases())
+def test_range_symbols_match_the_lanes_route_and_scalar_jacobi(case):
+    numerator, fixed, lo, n = case
+    route = residue_scan._table_route(fixed, 10**9, numerator)
+    m = np.arange(lo, lo + n, dtype=np.int64)
+    got = residue_scan._range_symbols(lo, n, *route)
+    assert got.dtype == np.int8 and got.shape == (n,)
+    # every lane, odd or even, equals the lanes route, which divides them
+    assert got.tolist() == residue_scan._table_symbols(m, *route).tolist()
+    # and the scalar jacobi where the symbol exists
+    for x, s in zip(m.tolist(), got.tolist()):
+        if numerator and x % 2:
+            assert s == jacobi(fixed, x), (fixed, x)
+        elif not numerator:
+            assert s == jacobi(x, fixed), (x, fixed)
+    # a fresh row: writing to it leaves the Legendre tables alone
+    got[:] = 5
+    assert residue_scan._range_symbols(lo, n, *route).tolist() == residue_scan._table_symbols(m, *route).tolist()
+
+
+@pytest.mark.parametrize("q", [3**3 * 5**2 * 7, 65537, 1048573, 9 * 1000003])
+def test_prefix_symbol_sum_by_ranges_across_window_edges(monkeypatch, q):
+    # windows of 1..n end at multiples of the chunk; tables for every q
+    # here, each factor below and above the window length
+    monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
+    lengths = _spy_on_prime_route(monkeypatch)
+    calls = _spy_on_jacobi_many(monkeypatch)
+    m = np.arange(1, 3 * _CHUNK + 3, dtype=np.int64)
+    prefix = np.cumsum(residue_scan._table_symbols(m, *residue_scan._table_route(q, m.size, False)))
+    for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 2):
+        assert residue_scan._prefix_symbol_sum(n, q) == int(prefix[n - 1]), n
+    assert lengths == [] and calls == []
+    assert residue_scan._prefix_symbol_sum(_CHUNK + 1, q) == sum(jacobi(x, q) for x in range(1, _CHUNK + 2))

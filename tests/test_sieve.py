@@ -359,6 +359,15 @@ def test_feller_tornier_partial_values():
     assert a_big == pytest.approx(0.3226, abs=0.001)
 
 
+@pytest.mark.parametrize("y", [2, 3, 10, 97, 1000, 65537, 99991, 10**6])
+def test_euler_products_equal_the_per_prime_loop(y):
+    # one numpy division for the terms, then math.log1p and math.fsum on
+    # each, gives the bits of a Python expression per prime
+    primes = eratosthenes(y).tolist()
+    assert feller_tornier_A(y) == math.exp(math.fsum([math.log1p(-2.0 / (p * p)) for p in primes]))
+    assert mertens_product(y).product == math.exp(math.fsum([math.log1p(-1.0 / p) for p in primes]))
+
+
 def test_squarefree_window_example():
     w = squarefree_in_interval(10, 5)
     assert w.members.tolist() == [11, 13, 14, 15]
