@@ -8,7 +8,7 @@ jacobi_many evaluates the same symbol over whole int64 arrays and hands
 every lane outside its domain to the scalar jacobi.  Where one side of
 the symbol is fixed and its prime factors sum to little against the
 lane count, the callers go through residue_scan's Legendre tables
-instead (_fixed_numerator over any lanes, _range_symbols over
+instead (_numerator_rows over any lanes, _range_symbols over
 consecutive ones), which fall back to jacobi_many under their one cost
 rule.  jacobi_many itself and
 residue_scan's first-hit scan step at most _SCALAR_LANES lanes through

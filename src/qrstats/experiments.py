@@ -560,9 +560,10 @@ def _squared_symbol_sums(windows: Iterator[Iterator[np.ndarray]]) -> tuple[int, 
 
 
 def _direct_rows(ns: list[int], primes: np.ndarray) -> Iterator[Iterator[np.ndarray]]:
-    """(n|p) for the members n of N over the primes p, one window of
-    _SYMBOL_CHUNK primes at a time, sharing the gathers of each prime
-    factor between the members (_numerator_rows)."""
+    """(n|p) for the members n of N over the primes p by the lanes route
+    (_numerator_rows), the one engine of the first-hit scans too: one
+    window of _SYMBOL_CHUNK primes at a time, sharing the gathers of each
+    prime factor between the members."""
     routes = [_table_route(n, primes.size, True) for n in ns]
     for lo in range(0, primes.size, _SYMBOL_CHUNK):
         yield _numerator_rows(ns, routes, primes[lo : lo + _SYMBOL_CHUNK])
@@ -618,10 +619,11 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
 
     Both squared sums run a window at a time, with an int32 accumulator
     per window (_squared_symbol_sums).  S_direct takes the primes of
-    [Q, 2Q] as lanes, one m mod l per prime factor l shared by the members
-    of N (_numerator_rows).  S_rough and the nonzero count take the range
-    route over the rough mask of [0, 2Q], which divides no lane and lists
-    no rough member (residue_scan's _masked_symbols).
+    [Q, 2Q] as lanes of residue_scan's lanes route (_numerator_rows), as
+    the exceptional count's first-hit scan does, one m mod l per prime
+    factor l shared by the members of N.  S_rough and the nonzero count
+    take the range route over the rough mask of [0, 2Q], which divides no
+    lane and lists no rough member (residue_scan's _masked_symbols).
     """
     check_trace(Q, u, h, eta)
     M = 2 * Q

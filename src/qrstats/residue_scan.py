@@ -31,28 +31,28 @@ RESIDUE_TABLE_BUDGET bytes has only small intermediates beside it.
 The same marks give the Legendre table of a prime l, (r|l) for
 0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
 without the Euclid loop of jacobi_many, by one of two routes.  The
-lanes route takes any lanes m and costs one gather of m mod l per prime
-factor l of the fixed side, plus one sign from m mod 8: _fixed_numerator
-for (a|m) over odd moduli m (the first-hit scans), and _numerator_rows
-for several numerators over one set of moduli, one gather per prime
-shared by the numerators (S_direct of proof_trace, over the primes of
-[Q, 2Q]).  The range route, _range_symbols, takes consecutive lanes lo,
-lo+1, ..., and divides none of them: the row of l is a slice of its
-table, or the table tiled from lo mod l, and the signs are tiled the
-same way.  Prefix sums (below), the rough partition of charsums and
-S_rough of proof_trace take it, one window of _SYMBOL_CHUNK lanes at a
-time; the last two keep only the lanes set in the rough mask
-(_masked_symbols), so no member list is made.  _table_route holds the
-decision and the signs for both routes.  One cost rule,
-in _table_factors, picks tables over jacobi_many: int64 lanes, and a
-fixed side whose distinct prime factors sum to at most _TABLE_COST (32,
-set by measurement) times the lane count, each at most _TABLE_LIMIT
-(2**20), found by one numpy trial division over the base primes; every
-other call, out-of-domain lanes included, goes to jacobi_many
-unchanged.  The tables are kept per process (per thread, like the
-kernel) in a cache of at most _TABLE_CACHE_BUDGET bytes (4 MiB), least
-recently used out first, so proof_trace's two sums and the runs of a
-scan share them; none is built at import.
+lanes route, _numerator_rows, gives (n|m) for one or more numerators n
+over one window of odd moduli m, at one gather of m mod l per prime l,
+shared by the numerators, plus one sign from m mod 8: the first-hit
+scans take it with one numerator (_fixed_numerator), and S_direct of
+proof_trace with the members of N over the primes of [Q, 2Q].  The
+range route, _range_symbols, takes consecutive lanes lo, lo+1, ..., and
+divides none of them: the row of l is a slice of its table, or the
+table tiled from lo mod l, and the signs are tiled the same way.
+Prefix sums (below), the rough partition of charsums and S_rough of
+proof_trace take it, one window of _SYMBOL_CHUNK lanes at a time; the
+last two keep only the lanes set in the rough mask (_masked_symbols),
+so no member list is made.  _table_route holds the decision and the
+signs for both routes.  One cost rule, in
+_table_factors, picks tables over jacobi_many: int64 lanes, and a fixed
+side whose distinct prime factors sum to at most _TABLE_COST (32, set by
+measurement) times the lane count, each at most _TABLE_LIMIT (2**20),
+found by one numpy trial division over the base primes; every other
+call goes to jacobi_many unchanged.  Neither route re-checks the lanes'
+domain: each caller checks it once.  The tables are kept per process
+(per thread, like the kernel) in a cache of at most _TABLE_CACHE_BUDGET
+bytes (4 MiB), least recently used out first, so proof_trace's two sums
+and the runs of a scan share them; none is built at import.
 
 Prefix sums, sum_{1 <= m <= n} (m|q) for incomplete_char_sum, come from
 _prefix_symbol_sum, decided once for all n lanes by the same cost rule.
@@ -68,11 +68,12 @@ The least non-residue is the u = 0 case of the first non-residue past
 u, and both come from one first-hit scan, _first_hits: it walks steps
 (value, a, bound) and records, lane by lane, the first value with
 (a|p) = -1.  least_nonresidues steps over the primes l, with a = l;
-first_nonresidues_after over h = 1, 2, ..., with a = u + h.  Each step
-is one _fixed_numerator call over the lanes still undecided, until at
-most arith._SCALAR_LANES (64) remain; those step through the scalar
-jacobi on Python ints, so a one-prime call pays no numpy overhead per
-step.
+first_nonresidues_after over h = 1, 2, ..., with a = u + h.  The lanes
+are checked odd and >= 3 once, and each step is one _fixed_numerator
+call over the lanes still undecided, a window of _SYMBOL_CHUNK of them
+at a time, until at most arith._SCALAR_LANES (64) remain; those step
+through the scalar jacobi on Python ints, so a one-prime call pays no
+numpy overhead per step.
 """
 
 from __future__ import annotations
@@ -292,10 +293,11 @@ def _table_factors(fixed, lanes: int) -> list[tuple[int, int]] | None:
 
 
 def _table_route(fixed, lanes: int, numerator: bool):
-    """(factors, signs) for _table_symbols or _range_symbols when the cost
-    rule of _table_factors takes tables for fixed against that many int64
-    lanes m, else None: (fixed|m) for a fixed numerator, (m|fixed) for a
-    fixed modulus, which must be odd.
+    """(factors, signs) for the lanes route (_numerator_rows) or the range
+    route (_range_symbols) when the cost rule of _table_factors takes
+    tables for fixed against that many int64 lanes m, else None:
+    (fixed|m) for a fixed numerator, (m|fixed) for a fixed modulus, which
+    must be odd.
 
     With a = 2**e * prod l**e_l, (a|m) = (2|m)**e * prod (l|m)**e_l, and
     by reciprocity (l|m) = (m mod l | l), flipped when l = m = 3 mod 4
@@ -319,27 +321,6 @@ def _table_route(fixed, lanes: int, numerator: bool):
     return factors, np.where(flip, -1, 1).astype(np.int8)
 
 
-def _table_symbols(m: np.ndarray, factors: list[tuple[int, int]], signs: np.ndarray) -> np.ndarray:
-    """signs[m mod 8] times the product of (m mod l | l)**e over the odd
-    factors (l, e), lane by lane as int8, 2**16 lanes at a time."""
-    tables = [(l, e % 2 == 0, _KERNEL.legendre(l)) for l, e in factors if l != 2]
-    out = np.empty(m.shape, dtype=np.int8)
-    flat_m, flat_out = m.reshape(-1), out.reshape(-1)
-    size = min(flat_m.size, _SYMBOL_CHUNK)
-    rem, symbol = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int8)
-    for lo in range(0, flat_m.size, _SYMBOL_CHUNK):
-        chunk, acc = flat_m[lo : lo + _SYMBOL_CHUNK], flat_out[lo : lo + _SYMBOL_CHUNK]
-        r, f = rem[: chunk.size], symbol[: chunk.size]
-        np.bitwise_and(chunk, 7, out=r)
-        np.take(signs, r, out=acc)
-        for l, even, table in tables:
-            np.take(table, _remainder(chunk, l, r), out=f)
-            acc *= f
-            if even:
-                acc *= f
-    return out
-
-
 def _tile(table: np.ndarray, r: int, n: int) -> np.ndarray:
     """table[(r + i) mod table.size] for 0 <= i < n, so no lane is
     divided: a slice of table (a view) when the n lanes fit in one period
@@ -361,11 +342,11 @@ def _tile(table: np.ndarray, r: int, n: int) -> np.ndarray:
 
 
 def _range_symbols(lo: int, n: int, factors: list[tuple[int, int]], signs: np.ndarray) -> np.ndarray:
-    """_table_symbols of the consecutive lanes lo, lo+1, ..., lo+n-1,
-    without the lanes: signs tiled from lo mod 8 times, per odd factor l,
-    the Legendre table of l tiled from lo mod l (_tile), a slice of it
-    when the lanes fit in one period.  Fresh int8; callers pass one
-    window, at most _SYMBOL_CHUNK lanes."""
+    """The lanes route's row (_numerator_rows) for the consecutive lanes
+    lo, lo+1, ..., lo+n-1, without the lanes: signs tiled from lo mod 8
+    times, per odd factor l, the Legendre table of l tiled from lo mod l
+    (_tile), a slice of it when the lanes fit in one period.  Fresh int8;
+    callers pass one window, at most _SYMBOL_CHUNK lanes."""
     out = np.array(_tile(signs, lo % 8, n))
     for l, e in factors:
         if l != 2:
@@ -393,31 +374,33 @@ def _masked_symbols(fixed, numerator: bool, route, lo: int, keep: np.ndarray) ->
 
 
 def _numerator_rows(ns: Sequence[int], routes: list, m: np.ndarray) -> Iterator[np.ndarray]:
-    """_fixed_numerator(n, m) for each n of ns in turn, with routes[i]
-    _table_route's for ns[i], over one window of odd int64 moduli m >= 1.
+    """(n|m) for each n of ns in turn, with routes[i] _table_route's for
+    ns[i], over one window of odd int64 moduli m >= 1: the one code that
+    reads Legendre tables at explicit lanes.  A row is signs[m mod 8]
+    times (m mod l | l)**e per odd prime factor l of n.
 
-    m mod 8 is taken once, and m mod l with its Legendre gather once per
-    odd prime l of the members; the gathers of a prime that divides two or
-    more of them are kept for the window.  Two members of N divisible by l
-    lie in one class mod 4, so they differ by a multiple of 4l: at most
-    pi(h / 4) rows are kept for a window [u+1, u+h].  Rows the cost rule
-    refuses come from jacobi_many.
+    Rows are shared within the window: the sign row once per distinct
+    signs, and m mod l with its Legendre gather once per odd prime l of
+    the members; the gathers of a prime that divides two or more of them
+    are kept.  Two members of N divisible by l lie in one
+    class mod 4, so they differ by a multiple of 4l: at most pi(h / 4)
+    rows are kept for a window [u+1, u+h].  Rows the cost rule refuses
+    come from jacobi_many.
     Each yielded row is overwritten by the next.
     """
     uses = collections.Counter(l for route in routes if route for l, _ in route[0] if l != 2)
-    low = np.bitwise_and(m, 7)
     rem = np.empty(m.size, dtype=np.int64)
     out, spare = np.empty(m.size, dtype=np.int8), np.empty(m.size, dtype=np.int8)
-    signed, shared = {}, {}
+    shared = {}
     for n, route in zip(ns, routes):
         if route is None:
             yield jacobi_many(n, m)
             continue
         factors, signs = route
         key = signs.tobytes()
-        if key not in signed:
-            signed[key] = signs[low]
-        np.copyto(out, signed[key])
+        if key not in shared:
+            shared[key] = np.take(signs, np.bitwise_and(m, 7, out=rem))
+        np.copyto(out, shared[key])
         for l, e in factors:
             if l == 2:
                 continue
@@ -432,30 +415,16 @@ def _numerator_rows(ns: Sequence[int], routes: list, m: np.ndarray) -> Iterator[
         yield out
 
 
-def _fixed_numerator(a, m) -> np.ndarray:
-    """jacobi_many(a, m) for one numerator a >= 0 over odd moduli m > 0,
-    by _table_route's signs of m mod 8 and a table lookup of m mod l per
-    prime factor l of a.  Lanes the cost rule of _table_factors refuses,
-    or outside the domain, go to jacobi_many.
-    """
-    m = np.asarray(m)
+def _fixed_numerator(a, m: np.ndarray) -> np.ndarray:
+    """(a|m) over the odd moduli m >= 1 of a first-hit step, by
+    _numerator_rows one _SYMBOL_CHUNK window at a time.  The cost rule
+    decides once for all the lanes; lanes it refuses, and lanes that are
+    not int64 (past 2**63), go to jacobi_many."""
     route = _table_route(a, m.size, True) if m.dtype == np.int64 else None
-    if route is None or (m.size and (m.min() < 1 or not np.bitwise_and(m, 1).all())):
+    if route is None:
         return jacobi_many(a, m)
-    return _table_symbols(m, *route)
-
-
-def _fixed_modulus(m, q) -> np.ndarray:
-    """jacobi_many(m, q) for numerators m >= 0 and one odd modulus q > 0:
-    with q = prod l**e_l, (m|q) = prod (m mod l | l)**e_l, one table
-    lookup per factor.  Lanes the cost rule of _table_factors refuses, or
-    outside the domain, go to jacobi_many.  rough_partition takes the
-    range route instead; this lanes route is its reference."""
-    m = np.asarray(m)
-    route = _table_route(q, m.size, False) if m.dtype == np.int64 else None
-    if route is None or (m.size and m.min() < 0):
-        return jacobi_many(m, q)
-    return _table_symbols(m, *route)
+    windows = range(0, m.size, _SYMBOL_CHUNK)
+    return np.concatenate([next(_numerator_rows([a], [route], m[lo : lo + _SYMBOL_CHUNK])) for lo in windows])
 
 
 def _prefix_symbol_sum(n: int, q: int) -> int:
@@ -559,11 +528,11 @@ def _first_hits(P, steps: Iterable[tuple[int, int, int]], fill: int, message: Ca
     (value, a, bound) with (a|p) = -1, or fill when the steps run out, as
     a 1-d int64 array.
 
-    Each step evaluates (a|p) over the lanes still undecided, with the
-    numerator fixed (_fixed_numerator), so the work shrinks with them;
-    once at most _SCALAR_LANES remain, the rest step through the scalar
-    jacobi on Python ints, which costs less than numpy's per-call
-    overhead.  A lane still undecided below a step's bound has no
+    P is checked here once.  Each step evaluates (a|p) over the lanes
+    still undecided, with the numerator fixed (_fixed_numerator), so the
+    work shrinks with them; once at most _SCALAR_LANES remain, the rest
+    step through the scalar jacobi on Python ints, which costs less than
+    numpy's per-call overhead.  A lane still undecided below a step's bound has no
     non-residue at all: the first such lane p raises
     ScanError(message(p)).
     """

@@ -83,6 +83,20 @@ def jacobi_by_factorization(m: int, q: int) -> int:
     return result
 
 
+def fixed_modulus(m: np.ndarray, q: int) -> np.ndarray:
+    """(m|q) as int8 over int64 lanes m >= 0 for one odd modulus q >= 1,
+    by the lanes route: with q = prod l**e, the product of
+    (m mod l | l)**e, each read from a table of l entries set at the
+    squares."""
+    out = np.ones(m.shape, dtype=np.int8)
+    for l, e in factorize(q).items():
+        table = np.full(l, -1, dtype=np.int8)
+        table[np.arange(1, l, dtype=np.int64) ** 2 % l] = 1
+        table[0] = 0
+        out *= table[m % l] ** e
+    return out
+
+
 def is_nonresidue(n: int, p: int) -> bool:
     """(n|p) = -1 for an odd prime p, by Euler's criterion."""
     return pow(n % p, (p - 1) // 2, p) == p - 1

@@ -28,6 +28,8 @@ from qrstats.errors import (
 )
 from qrstats.sieve import rough_set
 
+import oracles
+
 odd_moduli = st.integers(min_value=1, max_value=49).map(lambda k: 2 * k + 1)
 
 
@@ -258,7 +260,7 @@ def test_incomplete_sum_checks_the_lane_budget_before_any_symbol(monkeypatch):
         incomplete_char_sum(10**15, 10**15 + 37)
     evaluated = []
     _spy(monkeypatch, "jacobi_many", evaluated, lambda m, q: m)
-    _spy(monkeypatch, "_table_symbols", evaluated, lambda m, factors, signs: m)
+    _spy(monkeypatch, "_numerator_rows", evaluated, lambda ns, routes, m: m)
     _spy(monkeypatch, "_range_symbols", evaluated, lambda lo, n, factors, signs: n)
     monkeypatch.setattr(residue_scan, "SYMBOL_LANE_BUDGET", 10)
     # 1000 tail lanes; 3 tail lanes but the 961 of the principal period
@@ -297,6 +299,6 @@ def test_rough_partition_by_ranges_equals_the_lanes_route(cost, eta, M, q):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residue_scan, "_TABLE_COST", cost)
         part = rough_partition(eta, M, q)
-        symbols = residue_scan._fixed_modulus(rough_set(eta, M).members, q)
+        symbols = oracles.fixed_modulus(rough_set(eta, M).members, q)
     plus, minus = int(np.count_nonzero(symbols == 1)), int(np.count_nonzero(symbols == -1))
     assert (part.count_plus, part.count_minus, part.count_zero) == (plus, minus, symbols.size - plus - minus)

@@ -57,6 +57,23 @@ def test_only_the_sieve_lists_multiples():
     assert set(callers) == {"sieve.py"}
 
 
+def test_every_private_definition_has_a_program_caller():
+    # a module-level private function or class that no package code names
+    # outside its own definition is dead, or lives for the tests alone
+    defined, named = set(), set()
+    for path in sorted(Path(qrstats.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.add(own)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name and name != own:
+                    named.add(name)
+    assert defined
+    assert sorted(defined - named) == []
+
+
 def test_readme_constants_match_the_code():
     # every `module.NAME` (value) in the README names a constant of that
     # module with that value, a^b read as a power

@@ -15,7 +15,6 @@ from qrstats.errors import ParameterError, ResourceError, ScanError
 from qrstats.experiments import _gap_tail_row, proof_trace
 from qrstats.residue_scan import (
     _KERNEL,
-    _fixed_modulus,
     _fixed_numerator,
     _gap_tail_of,
     check_crt,
@@ -427,7 +426,7 @@ def test_kernel_buffers_are_per_thread(monkeypatch):
     m = np.arange(3000)
 
     def values(p):
-        return longest_qr_run(p), gap_stats(p).deltas.sum(), _fixed_modulus(m, p).tolist()
+        return longest_qr_run(p), gap_stats(p).deltas.sum(), _modulus_symbols(m, p).tolist()
 
     want = {p: values(p) for p in primes}
     wrong = []
@@ -576,6 +575,15 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _modulus_symbols(m, q):
+    """(m|q) over int64 lanes m >= 0 by the fixed-modulus route of the
+    rough partition: the cost rule decides for m.size lanes, and one
+    window from 0 keeps the lanes of m."""
+    keep = np.zeros(int(m.max()) + 1, dtype=bool)
+    keep[m] = True
+    return residue_scan._masked_symbols(q, False, residue_scan._table_route(q, m.size, False), 0, keep)[m]
+
+
 def _spy_on_jacobi_many(mp):
     calls = []
 
@@ -610,34 +618,29 @@ def test_fixed_modulus_matches_scalar_jacobi(cost, q, more):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residue_scan, "_TABLE_COST", cost)
         calls = _spy_on_jacobi_many(mp)
-        got = _fixed_modulus(m, q).tolist()
+        got = _modulus_symbols(m, q).tolist()
     assert got == [jacobi(int(x), q) for x in m]
     assert bool(calls) == (cost == 0 and q != 1)
+    # the oracle that is the rough partition's lanes-route reference
+    assert oracles.fixed_modulus(m, q).tolist() == got
 
 
 def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
     monkeypatch.setattr(residue_scan, "_TABLE_COST", 10**18)
     cases = [
-        # lanes past int64, as Python ints, object and uint64 arrays
-        (15, [3, 5, 2**70 + 1, 2**64 - 59]),
+        # lanes past int64, as object and uint64 arrays
+        (15, np.array([3, 5, 2**70 + 1, 2**64 - 59], dtype=object)),
         (15, np.array([3, 2**70 + 1], dtype=object)),
         (15, np.array([3, 2**64 - 59], dtype=np.uint64)),
         # a fixed side past int64 and a negative one
         (2**70 + 1, np.array([3, 5, 7])),
         (-3, np.array([3, 5])),
-        # negative, even and zero moduli, a negative numerator lane
-        (15, np.array([3, -5])),
-        (15, np.array([3, 4])),
-        (15, np.array([0, 3])),
     ]
     for a, m in cases:
-        want = _outcome(jacobi_many, a, m)
-        assert _outcome(_fixed_numerator, a, m) == want, (a, m)
-        assert _outcome(_fixed_modulus, m, a) == _outcome(jacobi_many, m, a), (a, m)
-    # an even modulus and one past int64 for the fixed-modulus entry
-    for q in (4, 0, 2**70 + 3):
-        m = np.array([1, 2, 3])
-        assert _outcome(_fixed_modulus, m, q) == _outcome(jacobi_many, m, q)
+        assert _outcome(_fixed_numerator, a, m) == _outcome(jacobi_many, a, m), (a, m)
+    # no tables for a fixed modulus that is even, past int64 or negative
+    for q in (4, 0, 2**70 + 1, 2**70 + 3, -3):
+        assert residue_scan._table_route(q, 3, False) is None, q
     # the cost rule's boundaries, at its own cost and past any cost
     five, hundred = np.array([3, 5, 7, 9, 11]), np.arange(1, 200, 2)
     cases = [
@@ -656,7 +659,7 @@ def test_table_route_hands_other_lanes_to_jacobi_many(monkeypatch):
             mp.setattr(residue_scan, "_TABLE_COST", cost)
             calls = _spy_on_jacobi_many(mp)
             assert _fixed_numerator(fixed, m).tolist() == [jacobi(fixed, int(x)) for x in m]
-            assert _fixed_modulus(m, fixed).tolist() == [jacobi(int(x), fixed) for x in m]
+            assert _modulus_symbols(m, fixed).tolist() == [jacobi(int(x), fixed) for x in m]
         assert len(calls) == (0 if tables else 2), fixed
 
 
@@ -674,9 +677,33 @@ def test_table_factors_trial_divide_up_to_the_square_root(monkeypatch):
     assert residue_scan._table_factors(1000003, 31250) is None
     assert sieve._base_table[0] < 4096
     calls = _spy_on_jacobi_many(monkeypatch)
-    assert _fixed_modulus(m, 1000003).tolist() == [jacobi(int(x), 1000003) for x in m]
+    assert _modulus_symbols(m, 1000003).tolist() == [jacobi(int(x), 1000003) for x in m]
     assert _fixed_numerator(1000003, m).tolist() == [jacobi(1000003, int(x)) for x in m]
     assert calls == []
+
+
+def test_first_hit_scans_cross_symbol_windows(monkeypatch):
+    # the 70,435 primes of [10**6, 2*10**6] are more lanes than one window
+    # of the lanes route, so the first step takes two
+    P = primes_in(10**6, 2 * 10**6)
+    chunk = residue_scan._SYMBOL_CHUNK
+    assert P.size > chunk
+    sizes = []
+    real = residue_scan._numerator_rows
+
+    def spy(ns, routes, m):
+        sizes.append(m.size)
+        return real(ns, routes, m)
+
+    monkeypatch.setattr(residue_scan, "_numerator_rows", spy)
+    primes = P.tolist()
+    assert least_nonresidues(P).tolist() == [oracles.least_nonresidue(p) for p in primes]
+    assert sizes[:2] == [chunk, P.size - chunk] and max(sizes) == chunk
+    for u in (12345, 10**12 + 12345):
+        sizes.clear()
+        got = first_nonresidues_after(P, u, 31).tolist()
+        assert got == [min(oracles.first_nonresidue_after(p, u), 32) for p in primes], u
+        assert sizes[:2] == [chunk, P.size - chunk]
 
 
 def test_table_cost_changes_no_result(monkeypatch):
@@ -868,7 +895,8 @@ def test_range_symbols_match_the_lanes_route_and_scalar_jacobi(case):
     got = residue_scan._range_symbols(lo, n, *route)
     assert got.dtype == np.int8 and got.shape == (n,)
     # every lane, odd or even, equals the lanes route, which divides them
-    assert got.tolist() == residue_scan._table_symbols(m, *route).tolist()
+    lanes = next(residue_scan._numerator_rows([fixed], [route], m)).tolist()
+    assert got.tolist() == lanes
     # and the scalar jacobi where the symbol exists
     for x, s in zip(m.tolist(), got.tolist()):
         if numerator and x % 2:
@@ -877,7 +905,7 @@ def test_range_symbols_match_the_lanes_route_and_scalar_jacobi(case):
             assert s == jacobi(x, fixed), (x, fixed)
     # a fresh row: writing to it leaves the Legendre tables alone
     got[:] = 5
-    assert residue_scan._range_symbols(lo, n, *route).tolist() == residue_scan._table_symbols(m, *route).tolist()
+    assert residue_scan._range_symbols(lo, n, *route).tolist() == lanes
 
 
 @pytest.mark.parametrize("q", [3**3 * 5**2 * 7, 65537, 1048573, 9 * 1000003])
@@ -888,7 +916,7 @@ def test_prefix_symbol_sum_by_ranges_across_window_edges(monkeypatch, q):
     lengths = _spy_on_prime_route(monkeypatch)
     calls = _spy_on_jacobi_many(monkeypatch)
     m = np.arange(1, 3 * _CHUNK + 3, dtype=np.int64)
-    prefix = np.cumsum(residue_scan._table_symbols(m, *residue_scan._table_route(q, m.size, False)))
+    prefix = np.cumsum(oracles.fixed_modulus(m, q))
     for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 2):
         assert residue_scan._prefix_symbol_sum(n, q) == int(prefix[n - 1]), n
     assert lengths == [] and calls == []
