@@ -7,10 +7,10 @@ return plain ints; symbol values are restricted to {-1, 0, +1}.
 jacobi_many evaluates the same symbol over whole int64 arrays and hands
 every lane outside its domain to the scalar jacobi.  Where one side of
 the symbol is fixed and its prime factors sum to little against the
-lane count, the callers go through residue_scan's Legendre tables
-instead (_numerator_rows over any lanes, _range_symbols over
-consecutive ones), which fall back to jacobi_many under their one cost
-rule.  jacobi_many itself and
+lane count, residue_scan reads Legendre tables instead, through its two
+row engines (_lane_rows over explicit lanes, _rough_rows over the
+lanes of a rough set) and its prefix sums, all under one cost rule that
+falls back to jacobi_many.  jacobi_many itself and
 residue_scan's first-hit scan step at most _SCALAR_LANES lanes through
 the scalar jacobi.  The scalar jacobi stays the reference for all of
 them, and legendre_euler, which shares no code with it, checks it in

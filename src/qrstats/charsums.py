@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import is_perfect_square
 from .errors import InvalidModulusError, ParameterError, PerfectSquareModulusError, ResourceError
-from .residue_scan import _SYMBOL_CHUNK, _masked_symbols, _prefix_symbol_sum, _table_route, check_symbol_lanes
+from .residue_scan import _prefix_symbol_sum, _rough_rows, check_symbol_lanes
 from .rng import XorShift64Star
 from .sieve import check_rough, mertens_product, rough_set
 
@@ -228,17 +228,14 @@ def rough_partition(eta: float, M: int, q: int) -> RoughPartition:
     """Classify every member of rough_set(eta, M), sieved afresh on each
     call, by its symbol mod q.
 
-    The symbols come a window of the rough mask at a time, by the range
-    route of residue_scan, zero off the mask, so no member list is made:
-    a window's nonzero count and sum give its +1 and -1 counts.  The cost
-    rule decides for the members' count, as the lanes route would.
+    The symbols come from residue_scan._rough_rows, a window of the rough
+    set at a time and zero off its members, so no member list is made: a
+    window's nonzero count and sum give its +1 and -1 counts.
     """
     check_modulus(q)
     rs = rough_set(eta, M)
-    route = _table_route(q, rs.count, False)
     nonzero = total = 0
-    for lo in range(0, rs.mask.size, _SYMBOL_CHUNK):
-        symbols = _masked_symbols(q, False, route, lo, rs.mask[lo : lo + _SYMBOL_CHUNK])
+    for (symbols,) in _rough_rows([q], False, rs):
         nonzero += int(np.count_nonzero(symbols))
         total += int(symbols.sum())
     plus, minus = (nonzero + total) // 2, (nonzero - total) // 2

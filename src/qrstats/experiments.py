@@ -35,11 +35,10 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSetError, ParameterError, ResourceError
-from .residue_scan import _SYMBOL_CHUNK, _check_p, _gap_tail_of, _masked_symbols, _numerator_rows, _table_route
+from .residue_scan import _check_p, _gap_tail_of, _lane_rows, _rough_rows
 from .residue_scan import check_symbol_lanes
 from .residue_scan import first_nonresidues_after, least_nonresidues
 from .sieve import (
-    RoughSet,
     ascending_primes,
     check_range,
     check_rough,
@@ -559,28 +558,6 @@ def _squared_symbol_sums(windows: Iterator[Iterator[np.ndarray]]) -> tuple[int, 
     return total, nonzero
 
 
-def _direct_rows(ns: list[int], primes: np.ndarray) -> Iterator[Iterator[np.ndarray]]:
-    """(n|p) for the members n of N over the primes p by the lanes route
-    (_numerator_rows), the one engine of the first-hit scans too: one
-    window of _SYMBOL_CHUNK primes at a time, sharing the gathers of each
-    prime factor between the members."""
-    routes = [_table_route(n, primes.size, True) for n in ns]
-    for lo in range(0, primes.size, _SYMBOL_CHUNK):
-        yield _numerator_rows(ns, routes, primes[lo : lo + _SYMBOL_CHUNK])
-
-
-def _rough_rows(ns: list[int], rough: RoughSet) -> Iterator[Iterator[np.ndarray]]:
-    """(n|m) for the members n of N over the rough members m, one window
-    of _SYMBOL_CHUNK positions of the mask at a time: each row comes from
-    the range route and is zero off the mask, so no member list is made.
-    The cost rule decides per n for the rough members' count, as the
-    lanes route would."""
-    routes = [_table_route(n, rough.count, True) for n in ns]
-    for lo in range(0, rough.mask.size, _SYMBOL_CHUNK):
-        keep = rough.mask[lo : lo + _SYMBOL_CHUNK]
-        yield (_masked_symbols(n, True, route, lo, keep) for n, route in zip(ns, routes))
-
-
 def check_trace(Q: int, u: int, h: int, eta: float) -> None:
     """Preconditions of proof_trace: check_exceptional for the one h,
     h < Q, check_symbol_lanes, check_rough for the rough mask over [1, 2Q]
@@ -618,12 +595,12 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
     exact integers; only the rhs_terms are floating point.
 
     Both squared sums run a window at a time, with an int32 accumulator
-    per window (_squared_symbol_sums).  S_direct takes the primes of
-    [Q, 2Q] as lanes of residue_scan's lanes route (_numerator_rows), as
-    the exceptional count's first-hit scan does, one m mod l per prime
-    factor l shared by the members of N.  S_rough and the nonzero count
-    take the range route over the rough mask of [0, 2Q], which divides no
-    lane and lists no rough member (residue_scan's _masked_symbols).
+    per window (_squared_symbol_sums), over the rows of residue_scan's
+    two engines.  S_direct takes the primes of [Q, 2Q] as lanes of
+    _lane_rows, the engine of the exceptional count's first-hit scan, one
+    m mod l per prime factor l shared by the members of N.  S_rough and
+    the nonzero count take _rough_rows over the rough set of [0, 2Q],
+    which divides no lane and lists no rough member.
     """
     check_trace(Q, u, h, eta)
     M = 2 * Q
@@ -655,11 +632,11 @@ def proof_trace(Q: int, u: int, h: int, eta: float) -> TraceReport:
         raise DegenerateSetError(f"chosen set has {len(ns)} members; need at least 2")
 
     primes = primes_in(Q, 2 * Q)
-    s_direct, _ = _squared_symbol_sums(_direct_rows(ns, primes))
+    s_direct, _ = _squared_symbol_sums(_lane_rows(ns, primes))
     exceptional = int(np.count_nonzero(first_nonresidues_after(primes, u, h) > h))
 
     rough = rough_set(eta, M)
-    s_rough, square_pair_sum = _squared_symbol_sums(_rough_rows(ns, rough))
+    s_rough, square_pair_sum = _squared_symbol_sums(_rough_rows(ns, True, rough))
 
     n_size = t_count = len(ns)
     denom = (n_size - 1) ** 2

@@ -30,20 +30,22 @@ RESIDUE_TABLE_BUDGET bytes has only small intermediates beside it.
 
 The same marks give the Legendre table of a prime l, (r|l) for
 0 <= r < l, and these tables evaluate Jacobi symbols with one side fixed
-without the Euclid loop of jacobi_many, by one of two routes.  The
-lanes route, _numerator_rows, gives (n|m) for one or more numerators n
-over one window of odd moduli m, at one gather of m mod l per prime l,
-shared by the numerators, plus one sign from m mod 8: the first-hit
+without the Euclid loop of jacobi_many, by one of two routes; only this
+module picks the route, cuts the windows and gives the cost rule its
+lane count.  The lanes route gives (n|m) for numerators n over explicit
+odd moduli m: _lane_rows cuts them into windows of _SYMBOL_CHUNK lanes,
+and _numerator_rows reads each at one gather of m mod l per prime l,
+shared by the numerators, plus one sign from m mod 8.  The first-hit
 scans take it with one numerator (_fixed_numerator), and S_direct of
 proof_trace with the members of N over the primes of [Q, 2Q].  The
 range route, _range_symbols, takes consecutive lanes lo, lo+1, ..., and
 divides none of them: the row of l is a slice of its table, or the
 table tiled from lo mod l, and the signs are tiled the same way.
-Prefix sums (below), the rough partition of charsums and S_rough of
-proof_trace take it, one window of _SYMBOL_CHUNK lanes at a time; the
-last two keep only the lanes set in the rough mask (_masked_symbols),
-so no member list is made.  _table_route holds the decision and the
-signs for both routes.  One cost rule, in
+Prefix sums (below) take it a window of _SYMBOL_CHUNK lanes at a time,
+and _rough_rows, for the rough partition of charsums and S_rough of
+proof_trace, a window of the rough mask at a time, zero off the mask
+(_masked_symbols), so no member list is made.  _table_route holds the
+decision and the signs for both routes.  One cost rule, in
 _table_factors, picks tables over jacobi_many: int64 lanes, and a fixed
 side whose distinct prime factors sum to at most _TABLE_COST (32, set by
 measurement) times the lane count, each at most _TABLE_LIMIT (2**20),
@@ -70,10 +72,10 @@ u, and both come from one first-hit scan, _first_hits: it walks steps
 (a|p) = -1.  least_nonresidues steps over the primes l, with a = l;
 first_nonresidues_after over h = 1, 2, ..., with a = u + h.  The lanes
 are checked odd and >= 3 once, and each step is one _fixed_numerator
-call over the lanes still undecided, a window of _SYMBOL_CHUNK of them
-at a time, until at most arith._SCALAR_LANES (64) remain; those step
-through the scalar jacobi on Python ints, so a one-prime call pays no
-numpy overhead per step.
+call over the lanes still undecided, the windows of _lane_rows joined,
+until at most arith._SCALAR_LANES (64) remain; those step through the
+scalar jacobi on Python ints, so a one-prime call pays no numpy
+overhead per step.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ import numpy as np
 
 from .arith import _SCALAR_LANES, _lanes, jacobi, jacobi_many
 from .errors import ParameterError, ResourceError, ScanError
-from .sieve import SEGMENT, TABLE_BUDGET, _base_primes, _strike, ascending_primes, check_window
+from .sieve import SEGMENT, TABLE_BUDGET, RoughSet, _base_primes, _strike, ascending_primes, check_window
 
 RESIDUE_TABLE_BUDGET = 2**30  # bytes
 SYMBOL_LANE_BUDGET = 2**30
@@ -296,8 +298,9 @@ def _table_route(fixed, lanes: int, numerator: bool):
     """(factors, signs) for the lanes route (_numerator_rows) or the range
     route (_range_symbols) when the cost rule of _table_factors takes
     tables for fixed against that many int64 lanes m, else None:
-    (fixed|m) for a fixed numerator, (m|fixed) for a fixed modulus, which
-    must be odd.
+    (fixed|m) for a fixed numerator, (m|fixed) for a fixed modulus.  A
+    fixed modulus must be odd; every caller passes one that
+    charsums.check_modulus has checked, so it is not checked again here.
 
     With a = 2**e * prod l**e_l, (a|m) = (2|m)**e * prod (l|m)**e_l, and
     by reciprocity (l|m) = (m mod l | l), flipped when l = m = 3 mod 4
@@ -306,7 +309,7 @@ def _table_route(fixed, lanes: int, numerator: bool):
     m mod 8; a fixed modulus q = prod l**e_l has no signs, since
     (m|q) = prod (m mod l | l)**e_l.
     """
-    factors = _table_factors(fixed, lanes) if numerator or fixed % 2 else None
+    factors = _table_factors(fixed, lanes)
     if factors is None:
         return None
     if not numerator:
@@ -415,16 +418,32 @@ def _numerator_rows(ns: Sequence[int], routes: list, m: np.ndarray) -> Iterator[
         yield out
 
 
+def _lane_rows(ns: Sequence[int], m: np.ndarray) -> Iterator[Iterator[np.ndarray]]:
+    """(n|m) for the numerators n of ns over odd moduli m >= 1 by the lanes
+    route: per window of _SYMBOL_CHUNK lanes, one _numerator_rows iterator
+    of a row per n.  The cost rule decides each n's route once for all
+    m.size lanes; lanes that are not int64 (past 2**63) go to jacobi_many."""
+    routes = [_table_route(n, m.size, True) if m.dtype == np.int64 else None for n in ns]
+    for lo in range(0, m.size, _SYMBOL_CHUNK):
+        yield _numerator_rows(ns, routes, m[lo : lo + _SYMBOL_CHUNK])
+
+
+def _rough_rows(ns: Sequence[int], numerator: bool, rough: RoughSet) -> Iterator[Iterator[np.ndarray]]:
+    """(n|m) for numerators n, else (m|n) for odd moduli n, over the
+    members m of rough by the range route: per window of _SYMBOL_CHUNK
+    positions of its mask, one row per n of ns, zero off the mask.  The
+    cost rule decides each n's route for rough.count lanes, as the lanes
+    route would.  The one program code that reads RoughSet.mask."""
+    routes = [_table_route(n, rough.count, numerator) for n in ns]
+    for lo in range(0, rough.mask.size, _SYMBOL_CHUNK):
+        keep = rough.mask[lo : lo + _SYMBOL_CHUNK]
+        yield (_masked_symbols(n, numerator, route, lo, keep) for n, route in zip(ns, routes))
+
+
 def _fixed_numerator(a, m: np.ndarray) -> np.ndarray:
-    """(a|m) over the odd moduli m >= 1 of a first-hit step, by
-    _numerator_rows one _SYMBOL_CHUNK window at a time.  The cost rule
-    decides once for all the lanes; lanes it refuses, and lanes that are
-    not int64 (past 2**63), go to jacobi_many."""
-    route = _table_route(a, m.size, True) if m.dtype == np.int64 else None
-    if route is None:
-        return jacobi_many(a, m)
-    windows = range(0, m.size, _SYMBOL_CHUNK)
-    return np.concatenate([next(_numerator_rows([a], [route], m[lo : lo + _SYMBOL_CHUNK])) for lo in windows])
+    """(a|m) over the odd moduli m >= 1 of a first-hit step: the windows
+    of _lane_rows joined."""
+    return np.concatenate([next(rows) for rows in _lane_rows([a], m)])
 
 
 def _prefix_symbol_sum(n: int, q: int) -> int:

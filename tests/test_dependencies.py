@@ -57,6 +57,21 @@ def test_only_the_sieve_lists_multiples():
     assert set(callers) == {"sieve.py"}
 
 
+def test_only_residue_scan_routes_symbols():
+    # routes, windows and the cost rule's lane count of fixed-side symbols
+    # belong to residue_scan; other modules take rows from its engines
+    routing = {"_table_route", "_table_factors", "_numerator_rows", "_masked_symbols", "_range_symbols",
+               "_SYMBOL_CHUNK"}
+    callers = {
+        path.name
+        for path in sorted(Path(qrstats.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if getattr(node, "id", None) in routing or getattr(node, "attr", None) in routing
+        or isinstance(node, ast.alias) and node.name in routing
+    }
+    assert callers == {"residue_scan.py"}
+
+
 def test_every_private_definition_has_a_program_caller():
     # a module-level private function or class that no package code names
     # outside its own definition is dead, or lives for the tests alone

@@ -517,15 +517,15 @@ def _lane_sums(ns, moduli):
 def _traced(monkeypatch, Q, u, h, eta):
     """proof_trace(Q, u, h, eta) with the set N it used."""
     seen = []
-    real = experiments._direct_rows
+    real = experiments._lane_rows
 
     def spy(ns, primes):
         seen.append(list(ns))
         return real(ns, primes)
 
-    monkeypatch.setattr(experiments, "_direct_rows", spy)
+    monkeypatch.setattr(experiments, "_lane_rows", spy)
     t = proof_trace(Q, u, h, eta)
-    monkeypatch.setattr(experiments, "_direct_rows", real)
+    monkeypatch.setattr(experiments, "_lane_rows", real)
     return t, seen[0]
 
 
@@ -595,7 +595,7 @@ def test_direct_sums_take_one_remainder_per_prime(monkeypatch):
         return real(x, k, out)
 
     monkeypatch.setattr(residue_scan, "_remainder", spy)
-    assert experiments._squared_symbol_sums(experiments._direct_rows(ns, primes)) == want
+    assert experiments._squared_symbol_sums(residue_scan._lane_rows(ns, primes)) == want
     odd_primes = {l for n in ns for l in oracles.factorize(n) if l != 2}
     assert sorted(calls) == sorted(odd_primes)
     assert len(calls) == 315
